@@ -32,8 +32,19 @@ Node2VecWalkConfig MakeStaticWalkConfig(const EhnaConfig& c) {
   return w;
 }
 
+// Where one plan sits in AggregateBatch's packs (both grad modes).
+struct PackSlot {
+  bool fallback = false;
+  // Node-level pack: rows [row_off, row_off + k) of every step t < T.
+  int64_t row_off = 0;
+  int64_t k = 0;
+  size_t T = 0;
+  // Walk-level pack (standard variants): one row per step.
+  int64_t walk_pos = 0;
+};
+
 // ----------------------------------------------------------------------
-// Packed-aggregation replay machinery (DESIGN.md §10).
+// Packed-aggregation replay machinery (DESIGN.md §10), grad mode only.
 //
 // The replay sentinel must not strongly hold any in-graph Var: the tethered
 // leaves' parent lists hold the sentinel, so a strong capture would create a
@@ -62,16 +73,9 @@ RawTrace ToRaw(const PackedLstmTrace& t) {
 // Everything the sentinel needs to replay one aggregation's deferred
 // parameter/embedding accumulations from its row slice of the packed tape.
 struct AggReplay {
-  bool fallback = false;
+  PackSlot slot;  // the plan's pack placement.
   bool single_layer = false;
   NodeId target = 0;
-  // Node-level pack placement: rows [row_off, row_off + k) of every step
-  // t < T tensor belong to this aggregation.
-  int64_t row_off = 0;
-  int64_t k = 0;
-  size_t T = 0;
-  // Walk-level pack placement (standard variants): one row per step.
-  int64_t walk_pos = 0;
   // Per-walk gathers (standard variants).
   std::vector<std::vector<int64_t>> walk_ids;
   std::vector<internal::VarImpl*> walk_leaves;
@@ -419,8 +423,16 @@ std::vector<Var> EhnaAggregator::AggregateBatch(
   const int64_t dim = config_.dim;
   const size_t P = plans.size();
   const bool single_layer = config_.variant == EhnaVariant::kSingleLayer;
+  // Under a NoGradScope (inference) nothing below records a tape: no replay
+  // records, no deferred-gradient buffers, no tethers, no sentinel. Every
+  // deferred-gradient op is swapped for its plain counterpart, which runs
+  // the same forward kernel on the same operands — so z is bit-identical
+  // in both modes.
+  const bool record = GradEnabled();
 
-  auto replays = std::make_shared<std::vector<AggReplay>>(P);
+  std::vector<PackSlot> slots(P);
+  std::shared_ptr<std::vector<AggReplay>> replays;
+  if (record) replays = std::make_shared<std::vector<AggReplay>>(P);
   std::vector<Var> ex_leaves(P);
   std::vector<Var> tether_leaves;  // every deferred-gather leaf
   std::vector<std::vector<Var>> weighted(P);  // node-pack sources per walk
@@ -431,65 +443,83 @@ std::vector<Var> EhnaAggregator::AggregateBatch(
   // ---- Per-plan leaves, node-level attention weights (plan order). ----
   for (size_t p = 0; p < P; ++p) {
     const AggregationPlan& plan = plans[p];
-    AggReplay& rep = (*replays)[p];
-    rep.target = plan.target;
-    rep.concat_b = std::make_shared<Tensor>(dim);
+    PackSlot& slot = slots[p];
+    AggReplay* rep = record ? &(*replays)[p] : nullptr;
     Var e_x = embedding_->GatherRowDeferred(plan.target);
     ex_leaves[p] = e_x;
-    tether_leaves.push_back(e_x);
-    rep.ex_leaf = e_x.impl();
+    if (rep != nullptr) {
+      rep->target = plan.target;
+      rep->concat_b = std::make_shared<Tensor>(dim);
+      tether_leaves.push_back(e_x);
+      rep->ex_leaf = e_x.impl();
+    }
 
     if (plan.walks.empty()) {
-      rep.fallback = true;
-      rep.flat_ids.assign(plan.fallback_ids.begin(), plan.fallback_ids.end());
-      if (rep.flat_ids.empty()) {
+      slot.fallback = true;
+      if (plan.fallback_ids.empty()) {
         // Isolated node: the summary is zero; z depends only on e_x.
         H[p] = Var::Leaf(Tensor(dim));
       } else {
-        Var emb = embedding_->GatherDeferred(rep.flat_ids);
-        tether_leaves.push_back(emb);
-        rep.flat_leaf = emb.impl();
+        std::vector<int64_t> ids(plan.fallback_ids.begin(),
+                                 plan.fallback_ids.end());
+        Var emb = embedding_->GatherDeferred(ids);
         H[p] = ag::ColMean(emb);
+        if (rep != nullptr) {
+          tether_leaves.push_back(emb);
+          rep->flat_leaf = emb.impl();
+          rep->flat_ids = std::move(ids);
+        }
       }
       continue;
     }
 
     if (single_layer) {
-      rep.single_layer = true;
+      std::vector<int64_t> ids;
       for (const Walk& w : plan.walks) {
-        for (const WalkStep& s : w) rep.flat_ids.push_back(s.node);
+        for (const WalkStep& s : w) ids.push_back(s.node);
       }
-      Var emb = embedding_->GatherDeferred(rep.flat_ids);
-      tether_leaves.push_back(emb);
-      rep.flat_leaf = emb.impl();
+      Var emb = embedding_->GatherDeferred(ids);
       flat_emb[p] = emb;
-      rep.T = rep.flat_ids.size();
-      rep.k = 1;
+      slot.T = ids.size();
+      slot.k = 1;
+      if (rep != nullptr) {
+        rep->single_layer = true;
+        tether_leaves.push_back(emb);
+        rep->flat_leaf = emb.impl();
+        rep->flat_ids = std::move(ids);
+      }
       continue;
     }
 
     const size_t k = plan.walks.size();
-    rep.k = static_cast<int64_t>(k);
+    slot.k = static_cast<int64_t>(k);
     walk_coeffs[p].assign(k, 1.0f);
     weighted[p].reserve(k);
     for (size_t i = 0; i < k; ++i) {
       const Walk& walk = plan.walks[i];
-      rep.T = std::max(rep.T, walk.size());
+      slot.T = std::max(slot.T, walk.size());
       std::vector<int64_t> ids;
       ids.reserve(walk.size());
       for (const WalkStep& s : walk) ids.push_back(s.node);
       Var emb = embedding_->GatherDeferred(ids);
-      tether_leaves.push_back(emb);
-      rep.walk_leaves.push_back(emb.impl());
-      rep.walk_ids.push_back(std::move(ids));
+      if (rep != nullptr) {
+        tether_leaves.push_back(emb);
+        rep->walk_leaves.push_back(emb.impl());
+        rep->walk_ids.push_back(std::move(ids));
+      }
       if (use_attention_) {
         const std::vector<float> coeffs = NodeAttentionCoefficients(
             walk, graph_->min_time(), graph_->TimeSpan());
         walk_coeffs[p][i] = WalkAttentionCoefficient(coeffs);
-        auto gt = std::make_shared<Tensor>(dim);
-        rep.node_gtargets.push_back(gt);
-        Var alpha = ag::AttentionSoftmaxDeferredTarget(
-            emb, e_x.value(), NegatedCoefficients(coeffs), gt, e_x);
+        Var alpha;
+        if (rep != nullptr) {
+          auto gt = std::make_shared<Tensor>(dim);
+          rep->node_gtargets.push_back(gt);
+          alpha = ag::AttentionSoftmaxDeferredTarget(
+              emb, e_x.value(), NegatedCoefficients(coeffs), gt, e_x);
+        } else {
+          alpha = ag::AttentionSoftmax(emb, e_x, NegatedCoefficients(coeffs));
+        }
         weighted[p].push_back(ag::ScaleRows(emb, alpha));
       } else {
         weighted[p].push_back(emb);
@@ -501,18 +531,16 @@ std::vector<Var> EhnaAggregator::AggregateBatch(
   // whole plans drop off the tail as steps proceed. ----
   std::vector<size_t> node_order;
   for (size_t p = 0; p < P; ++p) {
-    if (!(*replays)[p].fallback) node_order.push_back(p);
+    if (!slots[p].fallback) node_order.push_back(p);
   }
   std::stable_sort(node_order.begin(), node_order.end(),
-                   [&](size_t a, size_t b) {
-                     return (*replays)[a].T > (*replays)[b].T;
-                   });
+                   [&](size_t a, size_t b) { return slots[a].T > slots[b].T; });
   int64_t row_off = 0;
   size_t max_t = 0;
   for (size_t p : node_order) {
-    (*replays)[p].row_off = row_off;
-    row_off += (*replays)[p].k;
-    max_t = std::max(max_t, (*replays)[p].T);
+    slots[p].row_off = row_off;
+    row_off += slots[p].k;
+    max_t = std::max(max_t, slots[p].T);
   }
 
   PackedLstmTrace node_trace;
@@ -526,14 +554,14 @@ std::vector<Var> EhnaAggregator::AggregateBatch(
       std::vector<ag::PackedRowRef> refs;
       int64_t n_t = 0;
       for (size_t p : node_order) {
-        if (t >= (*replays)[p].T) break;  // sorted: the tail is done too.
-        n_t += (*replays)[p].k;
+        if (t >= slots[p].T) break;  // sorted: the tail is done too.
+        n_t += slots[p].k;
       }
       sources.reserve(n_t);
       refs.reserve(n_t);
       Tensor mask(n_t);
       for (size_t p : node_order) {
-        if (t >= (*replays)[p].T) break;
+        if (t >= slots[p].T) break;
         if (single_layer) {
           refs.push_back({static_cast<int32_t>(sources.size()),
                           static_cast<int32_t>(t)});
@@ -554,6 +582,10 @@ std::vector<Var> EhnaAggregator::AggregateBatch(
       inputs.push_back(ag::PackRows(sources, refs, dim));
       if (!single_layer) masks.push_back(std::move(mask));
     }
+    // The packs now hold every row; without a tape nothing else references
+    // the per-walk sources, so they are freed before the LSTM runs.
+    weighted.clear();
+    flat_emb.clear();
     node_trace = node_lstm_.ForwardPacked(inputs, masks);
   }
 
@@ -562,17 +594,25 @@ std::vector<Var> EhnaAggregator::AggregateBatch(
   // running-statistic updates) the per-edge path would produce. ----
   std::vector<Var> relu_reprs(P);
   for (size_t p = 0; p < P; ++p) {
-    AggReplay& rep = (*replays)[p];
-    if (rep.fallback) continue;
-    Var h = ag::SegmentRows(node_trace.top_h[rep.T - 1], rep.row_off, rep.k);
-    rep.node_dg = std::make_shared<Tensor>(dim);
-    rep.node_db = std::make_shared<Tensor>(dim);
-    Var normed = config_.population_batchnorm
-                     ? node_bn_.ForwardPopulationDeferred(h, training,
-                                                          rep.node_dg,
-                                                          rep.node_db)
-                     : node_bn_.ForwardDeferred(h, training, rep.node_dg,
-                                                rep.node_db);
+    const PackSlot& slot = slots[p];
+    if (slot.fallback) continue;
+    Var h = node_trace.Readout(slot.T - 1, slot.row_off, slot.k);
+    Var normed;
+    if (record) {
+      AggReplay& rep = (*replays)[p];
+      rep.node_dg = std::make_shared<Tensor>(dim);
+      rep.node_db = std::make_shared<Tensor>(dim);
+      normed = config_.population_batchnorm
+                   ? node_bn_.ForwardPopulationDeferred(h, training,
+                                                        rep.node_dg,
+                                                        rep.node_db)
+                   : node_bn_.ForwardDeferred(h, training, rep.node_dg,
+                                              rep.node_db);
+    } else {
+      normed = config_.population_batchnorm
+                   ? node_bn_.ForwardPopulation(h, training)
+                   : node_bn_.Forward(h, training);
+    }
     Var relu = ag::Relu(normed);
     if (single_layer) {
       H[p] = ag::AsVector(relu);
@@ -588,14 +628,21 @@ std::vector<Var> EhnaAggregator::AggregateBatch(
     std::vector<Var> weighted_w(P);
     std::vector<size_t> walk_order;
     for (size_t p = 0; p < P; ++p) {
-      AggReplay& rep = (*replays)[p];
-      if (rep.fallback) continue;
+      const PackSlot& slot = slots[p];
+      if (slot.fallback) continue;
       Var wr = relu_reprs[p];
-      if (use_attention_ && rep.k > 1) {
-        rep.walk_gtarget = std::make_shared<Tensor>(dim);
-        Var beta = ag::AttentionSoftmaxDeferredTarget(
-            wr, ex_leaves[p].value(), NegatedCoefficients(walk_coeffs[p]),
-            rep.walk_gtarget, ex_leaves[p]);
+      if (use_attention_ && slot.k > 1) {
+        Var beta;
+        if (record) {
+          AggReplay& rep = (*replays)[p];
+          rep.walk_gtarget = std::make_shared<Tensor>(dim);
+          beta = ag::AttentionSoftmaxDeferredTarget(
+              wr, ex_leaves[p].value(), NegatedCoefficients(walk_coeffs[p]),
+              rep.walk_gtarget, ex_leaves[p]);
+        } else {
+          beta = ag::AttentionSoftmax(wr, ex_leaves[p],
+                                      NegatedCoefficients(walk_coeffs[p]));
+        }
         weighted_w[p] = ag::ScaleRows(wr, beta);
       } else {
         weighted_w[p] = wr;
@@ -604,20 +651,20 @@ std::vector<Var> EhnaAggregator::AggregateBatch(
     }
     std::stable_sort(walk_order.begin(), walk_order.end(),
                      [&](size_t a, size_t b) {
-                       return (*replays)[a].k > (*replays)[b].k;
+                       return slots[a].k > slots[b].k;
                      });
     if (!walk_order.empty()) {
       for (size_t pos = 0; pos < walk_order.size(); ++pos) {
-        (*replays)[walk_order[pos]].walk_pos = static_cast<int64_t>(pos);
+        slots[walk_order[pos]].walk_pos = static_cast<int64_t>(pos);
       }
-      const int64_t max_k = (*replays)[walk_order[0]].k;
+      const int64_t max_k = slots[walk_order[0]].k;
       std::vector<Var> inputs;
       inputs.reserve(max_k);
       for (int64_t i = 0; i < max_k; ++i) {
         std::vector<Var> sources;
         std::vector<ag::PackedRowRef> refs;
         for (size_t p : walk_order) {
-          if (i >= (*replays)[p].k) break;
+          if (i >= slots[p].k) break;
           refs.push_back({static_cast<int32_t>(sources.size()),
                           static_cast<int32_t>(i)});
           sources.push_back(weighted_w[p]);
@@ -627,18 +674,25 @@ std::vector<Var> EhnaAggregator::AggregateBatch(
       walk_trace = walk_lstm_.ForwardPacked(inputs, {});
     }
     for (size_t p = 0; p < P; ++p) {
-      AggReplay& rep = (*replays)[p];
-      if (rep.fallback) continue;
-      Var hw =
-          ag::SegmentRows(walk_trace.top_h[rep.k - 1], rep.walk_pos, 1);
-      rep.walk_dg = std::make_shared<Tensor>(dim);
-      rep.walk_db = std::make_shared<Tensor>(dim);
-      Var normed = config_.population_batchnorm
-                       ? walk_bn_.ForwardPopulationDeferred(hw, training,
-                                                            rep.walk_dg,
-                                                            rep.walk_db)
-                       : walk_bn_.ForwardDeferred(hw, training, rep.walk_dg,
-                                                  rep.walk_db);
+      const PackSlot& slot = slots[p];
+      if (slot.fallback) continue;
+      Var hw = walk_trace.Readout(slot.k - 1, slot.walk_pos, 1);
+      Var normed;
+      if (record) {
+        AggReplay& rep = (*replays)[p];
+        rep.walk_dg = std::make_shared<Tensor>(dim);
+        rep.walk_db = std::make_shared<Tensor>(dim);
+        normed = config_.population_batchnorm
+                     ? walk_bn_.ForwardPopulationDeferred(hw, training,
+                                                          rep.walk_dg,
+                                                          rep.walk_db)
+                     : walk_bn_.ForwardDeferred(hw, training, rep.walk_dg,
+                                                rep.walk_db);
+      } else {
+        normed = config_.population_batchnorm
+                     ? walk_bn_.ForwardPopulation(hw, training)
+                     : walk_bn_.Forward(hw, training);
+      }
       H[p] = ag::AsVector(normed);
     }
   }
@@ -646,6 +700,10 @@ std::vector<Var> EhnaAggregator::AggregateBatch(
   // ---- Fuse + L2-normalize per plan (plan order). ----
   std::vector<Var> outputs(P);
   for (size_t p = 0; p < P; ++p) {
+    if (!record) {
+      outputs[p] = Fuse(H[p], ex_leaves[p]);
+      continue;
+    }
     AggReplay& rep = (*replays)[p];
     Var concat = ag::ConcatDeferredB(H[p], ex_leaves[p].value(), rep.concat_b,
                                      ex_leaves[p]);
@@ -655,12 +713,14 @@ std::vector<Var> EhnaAggregator::AggregateBatch(
     rep.mm = mm.impl();
     outputs[p] = ag::L2Normalize(ag::AsVector(mm));
   }
+  if (!record) return outputs;
 
   // ---- Replay sentinel: a parentless hooked node, pre-seeded so the
   // engine runs it, tethered under every deferred-gather leaf so it is the
   // earliest post-order node of the region — i.e. the LAST closure to
   // execute. It rebuilds all order-sensitive accumulations in canonical
   // reverse-plan order, making gradients independent of pack width. ----
+  for (size_t p = 0; p < P; ++p) (*replays)[p].slot = slots[p];
   RawTrace node_raw = ToRaw(node_trace);
   RawTrace walk_raw = ToRaw(walk_trace);
   std::shared_ptr<SparseRowGrads> sink = grad_sink_;
@@ -678,21 +738,22 @@ std::vector<Var> EhnaAggregator::AggregateBatch(
           // plan's output — nothing in its region executed, and a per-edge
           // pack would never have replayed it either.
           if (rep.mm == nullptr || !rep.mm->grad_defined) continue;
-          if (!rep.fallback) {
+          if (!rep.slot.fallback) {
             // (a) Node-level LSTM weight units: layer-descending, then
             // step-descending, mirroring reverse execution order of the
             // forward tape.
             for (int l = num_node_layers - 1; l >= 0; --l) {
-              for (int64_t t = static_cast<int64_t>(rep.T) - 1; t >= 0; --t) {
-                ReplayLstmUnit(node_raw[t][l], rep.row_off, rep.k,
+              for (int64_t t = static_cast<int64_t>(rep.slot.T) - 1; t >= 0;
+                   --t) {
+                ReplayLstmUnit(node_raw[t][l], rep.slot.row_off, rep.slot.k,
                                self->node_lstm_.cell(l));
               }
             }
             // (b) Walk-level LSTM weight units (not in EHNA-SL).
             if (!rep.single_layer) {
               for (int l = num_walk_layers - 1; l >= 0; --l) {
-                for (int64_t i = rep.k - 1; i >= 0; --i) {
-                  ReplayLstmUnit(walk_raw[i][l], rep.walk_pos, 1,
+                for (int64_t i = rep.slot.k - 1; i >= 0; --i) {
+                  ReplayLstmUnit(walk_raw[i][l], rep.slot.walk_pos, 1,
                                  self->walk_lstm_.cell(l));
                 }
               }

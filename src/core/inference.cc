@@ -1,9 +1,19 @@
 #include "core/inference.h"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <thread>
+#include <vector>
 
 namespace ehna {
+
+namespace {
+
+// Node cap of one packed inference chunk (see InferenceEngine::Infer).
+constexpr size_t kChunkNodes = 64;
+
+}  // namespace
 
 InferenceEngine::InferenceEngine(const TemporalGraph* graph,
                                  Embedding* embedding,
@@ -39,13 +49,6 @@ ThreadPool* InferenceEngine::EnsurePool() {
   return owned_pool_.get();
 }
 
-Tensor InferenceEngine::AggregateAt(NodeId node, Timestamp ref_time,
-                                    Rng* rng) {
-  Var z = aggregator_->Aggregate(node, ref_time, /*training=*/false, rng);
-  embedding_->ClearGradients();
-  return z.value();
-}
-
 void InferenceEngine::FinalizeIsolated(NodeId v, float* dst) const {
   const int64_t d = config_.dim;
   const float* src = embedding_->RowData(v);
@@ -58,47 +61,81 @@ void InferenceEngine::FinalizeIsolated(NodeId v, float* dst) const {
   for (int64_t j = 0; j < d; ++j) dst[j] = src[j] * inv;
 }
 
-void InferenceEngine::FinalizeNodeStreamed(NodeId v, float* dst) {
+void InferenceEngine::InferChunk(std::span<const NodeId> chunk,
+                                 Rng* serial_rng, Tensor* out) {
+  // Thread-local: each pool worker opens its own scope.
+  NoGradScope no_grad;
+  std::vector<AggregationPlan> plans;
+  plans.reserve(chunk.size());
+  for (const NodeId v : chunk) {
+    auto recent = graph_->MostRecentInteraction(v);
+    if (!recent.ok()) {
+      FinalizeIsolated(v, out->Row(v));  // draws nothing, as it always has.
+      continue;
+    }
+    plans.emplace_back();
+    if (serial_rng != nullptr) {
+      aggregator_->PlanAggregation(v, recent.value(), serial_rng,
+                                   &plans.back());
+    } else {
+      Rng node_rng = Rng::Stream(config_.seed ^ kFinalizeStreamSalt, v);
+      aggregator_->PlanAggregation(v, recent.value(), &node_rng,
+                                   &plans.back());
+    }
+  }
+  if (plans.empty()) return;
+  const std::vector<Var> z =
+      aggregator_->AggregateBatch(plans, /*training=*/false);
   const int64_t d = config_.dim;
-  auto recent = graph_->MostRecentInteraction(v);
-  if (recent.ok()) {
-    Rng node_rng = Rng::Stream(config_.seed ^ kFinalizeStreamSalt, v);
-    Var z = aggregator_->Aggregate(v, recent.value(), /*training=*/false,
-                                   &node_rng);
-    const Tensor& zv = z.value();
-    for (int64_t j = 0; j < d; ++j) dst[j] = zv[j];
+  for (size_t i = 0; i < plans.size(); ++i) {
+    std::copy_n(z[i].value().data(), d, out->Row(plans[i].target));
+  }
+}
+
+void InferenceEngine::Infer(std::span<const NodeId> nodes, Rng* serial_rng,
+                            ThreadPool* pool, Tensor* out) {
+  const size_t n = nodes.size();
+  const bool parallel =
+      serial_rng == nullptr && pool != nullptr && pool->num_threads() > 1;
+  // A chunk's transient packs are ~3 × walks × length × dim floats per
+  // node, so the cap bounds inference memory at a few MB per thread while
+  // still feeding the LSTM GEMMs hundreds of rows. The parallel path
+  // splits smaller inputs evenly across the workers. Rows are a function
+  // of each node's plan alone (row-local kernels), so the chunking never
+  // changes a bit.
+  size_t chunk = kChunkNodes;
+  if (parallel) {
+    chunk = std::clamp<size_t>((n + pool->num_threads() - 1) /
+                                   pool->num_threads(),
+                               1, kChunkNodes);
+  }
+  const size_t num_chunks = (n + chunk - 1) / chunk;
+  auto run = [&](size_t c) {
+    const size_t begin = c * chunk;
+    InferChunk(nodes.subspan(begin, std::min(chunk, n - begin)), serial_rng,
+               out);
+  };
+  if (parallel && num_chunks > 1) {
+    pool->ParallelFor(num_chunks, run);
   } else {
-    FinalizeIsolated(v, dst);
+    for (size_t c = 0; c < num_chunks; ++c) run(c);
   }
 }
 
 Tensor InferenceEngine::ComputeFinalEmbeddings(Rng* serial_rng,
                                                ThreadPool* pool) {
   const NodeId n = graph_->num_nodes();
-  const int64_t d = config_.dim;
-  Tensor final(n, d);
-
+  Tensor final(n, config_.dim);
+  std::vector<NodeId> all(n);
+  std::iota(all.begin(), all.end(), NodeId{0});
   if (num_threads() > 1) {
-    // Nodes fan out freely (pure read of the trained state); the per-node
+    // Chunks fan out freely (pure read of the trained state); the per-node
     // stream makes the result a function of the seed alone, independent of
     // thread count and scheduling.
-    if (pool == nullptr) pool = EnsurePool();
-    pool->ParallelFor(n, [&](size_t v) {
-      FinalizeNodeStreamed(static_cast<NodeId>(v), final.Row(v));
-    });
-    embedding_->ClearGradients();
+    Infer(all, nullptr, pool != nullptr ? pool : EnsurePool(), &final);
   } else {
     EHNA_CHECK(serial_rng != nullptr);
-    for (NodeId v = 0; v < n; ++v) {
-      auto recent = graph_->MostRecentInteraction(v);
-      if (recent.ok()) {
-        const Tensor z = AggregateAt(v, recent.value(), serial_rng);
-        float* dst = final.Row(v);
-        for (int64_t j = 0; j < d; ++j) dst[j] = z[j];
-      } else {
-        FinalizeIsolated(v, final.Row(v));
-      }
-    }
+    Infer(all, serial_rng, nullptr, &final);
   }
   return final;
 }
@@ -118,17 +155,8 @@ void InferenceEngine::RefreshInto(std::span<const NodeId> nodes, Tensor* out,
   EHNA_CHECK(out != nullptr);
   EHNA_CHECK_GE(out->rows(), static_cast<int64_t>(graph_->num_nodes()));
   EHNA_CHECK_EQ(out->cols(), config_.dim);
-  if (nodes.empty()) return;
   if (pool == nullptr && num_threads() > 1) pool = EnsurePool();
-  if (pool != nullptr && pool->num_threads() > 1 && nodes.size() > 1) {
-    pool->ParallelFor(nodes.size(), [&](size_t i) {
-      const NodeId v = nodes[i];
-      FinalizeNodeStreamed(v, out->Row(v));
-    });
-  } else {
-    for (const NodeId v : nodes) FinalizeNodeStreamed(v, out->Row(v));
-  }
-  embedding_->ClearGradients();
+  Infer(nodes, nullptr, pool, out);
 }
 
 }  // namespace ehna

@@ -29,9 +29,10 @@ inline constexpr uint64_t kFinalizeStreamSalt =
 /// aggregator, so `EhnaModel` can delegate to it against its own members
 /// while `EmbeddingServer` drives the identical code against a restored
 /// checkpoint. Inference is a pure read of the trained parameters and table
-/// (eval mode never touches BatchNorm running statistics, and no backward
-/// runs), which is what makes both the node-parallel fan-out and the
-/// serving layer's concurrent refresh sound.
+/// (eval mode never touches BatchNorm running statistics, and it runs under
+/// a NoGradScope, so no tape is built), which is what makes both the
+/// chunk-parallel fan-out and the serving layer's concurrent refresh sound.
+/// Every entry point runs the same packed chunk loop (DESIGN.md §13).
 class InferenceEngine {
  public:
   /// `graph`, `embedding`, and `aggregator` must outlive the engine.
@@ -53,18 +54,13 @@ class InferenceEngine {
   const TemporalGraph* graph() const { return graph_; }
   const EhnaConfig& config() const { return config_; }
 
-  /// Aggregated embedding of one node at a reference time (inference mode),
-  /// drawing walk randomness from `rng`. Clears the gradient rows the
-  /// forward pass's gathers registered.
-  Tensor AggregateAt(NodeId node, Timestamp ref_time, Rng* rng);
-
   /// The §IV.D final pass *without* the write-back: returns the [N, dim]
   /// matrix of per-node aggregated embeddings (isolated nodes contribute
   /// their L2-normalized raw rows), leaving the trained table untouched.
   /// With num_threads() == 1 every node draws from `serial_rng` in node
-  /// order (the exact legacy sequence); otherwise nodes fan out across
-  /// `pool` (lazily self-built when null) with per-node streams, making the
-  /// result a function of the seed alone.
+  /// order (the exact legacy sequence); otherwise node chunks fan out
+  /// across `pool` (lazily self-built when null) with per-node streams,
+  /// making the result a function of the seed alone.
   Tensor ComputeFinalEmbeddings(Rng* serial_rng, ThreadPool* pool = nullptr);
 
   /// ComputeFinalEmbeddings + §IV.D's e_x := z_x write-back into the table.
@@ -82,7 +78,8 @@ class InferenceEngine {
   /// is bitwise-identical to what the parallel finalize path would produce
   /// for that node on the same graph — and independent of which batch of
   /// affected nodes it rode in on. `out` must have at least
-  /// graph()->num_nodes() rows.
+  /// graph()->num_nodes() rows. Chunks fan out across `pool` (lazily
+  /// self-built when null and num_threads() > 1).
   void RefreshInto(std::span<const NodeId> nodes, Tensor* out,
                    ThreadPool* pool = nullptr);
 
@@ -91,8 +88,19 @@ class InferenceEngine {
   /// underflows), so its scale matches the normalized aggregated ones.
   void FinalizeIsolated(NodeId v, float* dst) const;
 
-  /// Computes node v's final embedding from its per-node stream into `dst`.
-  void FinalizeNodeStreamed(NodeId v, float* dst);
+  /// The one inference loop behind every entry point: writes node v's
+  /// final embedding into out->Row(v) for each v in `nodes`, planning and
+  /// aggregating node chunks (capped by kChunkNodes in inference.cc)
+  /// through one packed no-grad batch each. A non-null `serial_rng` is
+  /// drawn from in node order (serial finalize; the chunks then run in
+  /// order on this thread); otherwise node v draws from its per-node
+  /// stream, and chunks fan out across `pool` when it has more than one
+  /// thread.
+  void Infer(std::span<const NodeId> nodes, Rng* serial_rng, ThreadPool* pool,
+             Tensor* out);
+
+  /// One chunk of Infer, on the calling thread.
+  void InferChunk(std::span<const NodeId> chunk, Rng* serial_rng, Tensor* out);
 
   ThreadPool* EnsurePool();
 

@@ -815,8 +815,12 @@ std::vector<EhnaModel::EpochStats> EhnaModel::Train(
 }
 
 Tensor EhnaModel::AggregateAt(NodeId node, Timestamp ref_time) {
-  InferenceEngine engine(graph_, &embedding_, &aggregator_, config_);
-  return engine.AggregateAt(node, ref_time, &rng_);
+  // A one-plan packed batch: the same draws from rng_ and the same bits as
+  // the per-call Aggregate.
+  NoGradScope no_grad;
+  std::vector<AggregationPlan> plan(1);
+  aggregator_.PlanAggregation(node, ref_time, &rng_, &plan[0]);
+  return aggregator_.AggregateBatch(plan, /*training=*/false)[0].value();
 }
 
 Tensor EhnaModel::FinalizeEmbeddings() {

@@ -1,7 +1,6 @@
 #include "graph/dynamic_graph.h"
 
 #include <algorithm>
-#include <string>
 
 #include "util/logging.h"
 
@@ -21,19 +20,13 @@ DynamicTemporalGraph::DynamicTemporalGraph(const TemporalGraph* base,
 }
 
 Status DynamicTemporalGraph::Ingest(const TemporalEdge& edge) {
-  if (edge.src == edge.dst) {
-    return Status::InvalidArgument("self-loop edge (" +
-                                   std::to_string(edge.src) + ")");
-  }
-  if (edge.weight < 0.0f) {
-    return Status::InvalidArgument("negative edge weight");
-  }
-  Status count_ok = TemporalGraph::ValidateEdgeCount(total_edges() + 1);
-  if (!count_ok.ok()) return count_ok;
+  EHNA_RETURN_NOT_OK(TemporalGraph::ValidateEdge(edge));
+  EHNA_RETURN_NOT_OK(TemporalGraph::ValidateEdgeCount(total_edges() + 1));
 
-  const NodeId needed = std::max(edge.src, edge.dst) + 1;
+  // 64-bit: ValidateEdge caps ids below kInvalidNode, so this fits NodeId.
+  const uint64_t needed = uint64_t{std::max(edge.src, edge.dst)} + 1;
   if (needed > num_nodes_) {
-    num_nodes_ = needed;
+    num_nodes_ = static_cast<NodeId>(needed);
     cache_.resize(num_nodes_);
     cache_events_.resize(num_nodes_, 0);
     cache_seeded_.resize(num_nodes_, 0);
@@ -104,36 +97,12 @@ std::span<const NodeId> DynamicTemporalGraph::CachedNeighbors(
 
 Status DynamicTemporalGraph::Compact() {
   if (pending_.empty()) return Status::OK();
-
-  std::vector<TemporalEdge> delta = std::move(pending_);
+  // The borrowed base is copied once, at the first compaction; from then on
+  // the owned snapshot absorbs each delta in place (TemporalGraph::
+  // InsertEdges), which leaves it unchanged on failure.
+  if (merged_ == nullptr) merged_ = std::make_unique<TemporalGraph>(*base_);
+  EHNA_RETURN_NOT_OK(merged_->InsertEdges(pending_, num_nodes_));
   pending_.clear();
-  // Stable: delta edges with equal timestamps keep arrival order, exactly
-  // as FromEdges' stable_sort would order them within the concatenation.
-  std::stable_sort(delta.begin(), delta.end(),
-                   [](const TemporalEdge& a, const TemporalEdge& b) {
-                     return a.time < b.time;
-                   });
-
-  const std::vector<TemporalEdge>& head = current().edges();
-  std::vector<TemporalEdge> all;
-  all.reserve(head.size() + delta.size());
-  // Ties draw from the snapshot side first — the stable-sort permutation of
-  // the concatenated list (snapshot edges precede delta edges in it).
-  std::merge(head.begin(), head.end(), delta.begin(), delta.end(),
-             std::back_inserter(all),
-             [](const TemporalEdge& a, const TemporalEdge& b) {
-               return a.time < b.time;
-             });
-
-  Result<TemporalGraph> rebuilt =
-      TemporalGraph::FromEdges(std::move(all), num_nodes_, directed());
-  if (!rebuilt.ok()) {
-    // Restore the delta so the overlay stays consistent (unreachable for
-    // edges Ingest accepted; belt and braces).
-    pending_ = std::move(delta);
-    return rebuilt.status();
-  }
-  merged_ = std::make_unique<TemporalGraph>(std::move(rebuilt).value());
   return Status::OK();
 }
 

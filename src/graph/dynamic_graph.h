@@ -24,21 +24,24 @@ struct DynamicGraphOptions {
   uint64_t seed = 0x45484E414459474EULL;  // "EHNADYGN"
 };
 
-/// A mutable streaming overlay over the immutable flat-CSR TemporalGraph:
-/// ingested edges append to an O(1) delta in arrival order, queries against
-/// graph structure go to the latest compacted snapshot, and Compact() merges
-/// the delta into a fresh snapshot that is bitwise-indistinguishable from
+/// A mutable streaming overlay over the flat-CSR TemporalGraph: ingested
+/// edges append to an O(1) delta in arrival order, queries against graph
+/// structure go to the latest compacted snapshot, and Compact() merges the
+/// delta into the snapshot so that it is bitwise-indistinguishable from
 /// TemporalGraph::FromEdges over the full edge multiset (pinned by
-/// tests/serve_test.cc).
+/// tests/serve_test.cc and tests/graph_csr_test.cc).
 ///
 /// The equivalence argument: snapshots keep `edges()` sorted by time with
 /// ties in input order (FromEdges stable_sorts). Compact stable-sorts the
 /// delta by time (preserving arrival order within a tie) and merges it with
 /// the already-sorted snapshot edges, ties drawing from the snapshot side —
 /// exactly the permutation stable_sort would apply to the concatenated
-/// list. Since every downstream observation (adjacency order, walk
-/// sampling, HasEdge) is a function of the sorted edge list, overlay-built
-/// graphs walk bitwise-identically to rebuilt-from-scratch ones.
+/// list. Each node's adjacency then merges its own delta entries by the
+/// resulting EdgeIds (the order FromEdges' chronological fill appends in),
+/// and its sorted-neighbor segment merges their ids; untouched data is
+/// copied, never re-sorted (TemporalGraph::InsertEdges, DESIGN.md §13).
+/// Ingest rejects non-finite timestamps, so the time order the merge relies
+/// on is total.
 ///
 /// Alongside the delta, the overlay maintains bounded per-node neighbor
 /// caches (uniform reservoir over every adjacency event a node has seen,
@@ -71,10 +74,11 @@ class DynamicTemporalGraph {
   bool directed() const { return current().directed(); }
 
   /// Appends one edge to the delta: O(1) plus O(cache_capacity) reservoir
-  /// maintenance. Applies FromEdges' validation eagerly (self-loops and
-  /// negative weights rejected, edge-count ceiling enforced) so Compact
-  /// cannot fail on data accepted here. Timestamps may arrive out of
-  /// order — Compact's stable merge restores chronology.
+  /// maintenance. Applies FromEdges' validation eagerly (self-loops,
+  /// non-finite timestamps and weights, negative weights and the reserved
+  /// id kInvalidNode rejected with InvalidArgument; edge-count ceiling
+  /// enforced) so Compact cannot fail on data accepted here. Timestamps may
+  /// arrive out of order — Compact's stable merge restores chronology.
   Status Ingest(const TemporalEdge& edge);
 
   /// The bounded refresh-candidate set for `edge`: its endpoints plus the
@@ -88,9 +92,10 @@ class DynamicTemporalGraph {
   /// observed events). Exposed for tests.
   std::span<const NodeId> CachedNeighbors(NodeId node) const;
 
-  /// Merges the pending delta into a fresh snapshot (see class comment for
-  /// the bitwise-equivalence argument) and clears the delta. No-op when
-  /// nothing is pending. On failure the overlay is unchanged.
+  /// Merges the pending delta into the snapshot (see class comment for the
+  /// bitwise-equivalence argument) and clears the delta: O(|E| + |Δ| log
+  /// |Δ|). No-op when nothing is pending. On failure the overlay is
+  /// unchanged.
   Status Compact();
 
  private:
@@ -101,7 +106,8 @@ class DynamicTemporalGraph {
   void ObserveNeighbor(NodeId node, NodeId neighbor);
 
   const TemporalGraph* base_;
-  std::unique_ptr<TemporalGraph> merged_;  // null until the first Compact.
+  std::unique_ptr<TemporalGraph> merged_;  // null until the first Compact;
+                                           // then merged into in place.
   DynamicGraphOptions options_;
   std::vector<TemporalEdge> pending_;  // arrival order.
   NodeId num_nodes_ = 0;

@@ -40,7 +40,7 @@ struct AdjEntry {
   EdgeId edge_id = 0;
 };
 
-/// An immutable temporal network (Definition 1): nodes 0..n-1 and a
+/// A temporal network (Definition 1): nodes 0..n-1 and a
 /// chronologically sorted multiset of timestamped edges. By default edges
 /// are undirected (each logical edge appears in both endpoints' adjacency
 /// lists). Storage is flat CSR (DESIGN.md §12): one contiguous `AdjEntry`
@@ -50,6 +50,8 @@ struct AdjEntry {
 /// a binary-searchable prefix of a contiguous range; a parallel
 /// neighbor-sorted id array over the same offsets serves static
 /// connectivity queries (HasEdge) in O(log d) with 4 bytes per slot.
+/// Only InsertEdges mutates a built graph (the serving overlay's
+/// compaction); every other member is a read.
 class TemporalGraph {
  public:
   /// Hard ceiling on the logical edge count: `EdgeId` is 32-bit, and the
@@ -63,13 +65,36 @@ class TemporalGraph {
   /// without materializing 4 billion edges.
   static Status ValidateEdgeCount(uint64_t count);
 
+  /// OK iff `edge` is admissible in any graph: no self-loop, a finite
+  /// timestamp, a finite non-negative weight, and endpoints below the
+  /// reserved id kInvalidNode (so max id + 1 is a valid NodeId). Every
+  /// builder and the streaming overlay apply it, so the time-sorted
+  /// invariant cannot be broken by a NaN.
+  static Status ValidateEdge(const TemporalEdge& edge);
+
   /// Builds a graph from `edges`. Node ids must be < `num_nodes`; if
-  /// `num_nodes` is 0 it is inferred as max id + 1. Self-loops are rejected.
-  /// When `directed` is false (the paper's setting for all four datasets)
-  /// each edge contributes adjacency in both directions.
+  /// `num_nodes` is 0 it is inferred as max id + 1. Edges failing
+  /// ValidateEdge are rejected. When `directed` is false (the paper's
+  /// setting for all four datasets) each edge contributes adjacency in both
+  /// directions.
   static Result<TemporalGraph> FromEdges(std::vector<TemporalEdge> edges,
                                          NodeId num_nodes = 0,
                                          bool directed = false);
+
+  /// Merges `delta` into this graph in place, growing the node range to
+  /// `num_nodes` (which must not shrink it). The result is bitwise-equal —
+  /// edges(), every adjacency entry including its EdgeId, the sorted
+  /// neighbor index, and min/max time — to
+  /// FromEdges(edges() ++ delta, num_nodes, directed()). `delta` may be in
+  /// any time order, with ties and new node ids. On failure (an edge
+  /// failing ValidateEdge, an endpoint >= num_nodes, or the edge-count
+  /// ceiling) the graph is unchanged.
+  ///
+  /// Cost: a stable sort of the delta plus one backward pass over the
+  /// arrays, O(|E| + |Δ| log |Δ|) memory traffic with no sort of data
+  /// already in the graph; vectors grow geometrically, so no second copy
+  /// of the graph is built. See DESIGN.md §13.
+  Status InsertEdges(std::span<const TemporalEdge> delta, NodeId num_nodes);
 
   /// Builds a graph from an already-validated memory-mapped edge log
   /// (graph/edge_log.h). Log records are time-sorted by construction, so

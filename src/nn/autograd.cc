@@ -21,9 +21,10 @@ Var Var::Op(Tensor value, std::vector<Var> parents,
             const char* name) {
   auto impl = std::make_shared<VarImpl>();
   impl->value = std::move(value);
+  impl->name = name;
+  if (!GradEnabled()) return Var(std::move(impl));
   impl->parents = std::move(parents);
   impl->backward = std::move(backward);
-  impl->name = name;
   for (const Var& p : impl->parents) {
     EHNA_CHECK(p.defined());
   }

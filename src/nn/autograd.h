@@ -33,7 +33,8 @@ class Var {
   /// An interior node produced by an op. `backward` receives (grad_of_this,
   /// this_value) and must route gradient contributions into the parents via
   /// `AccumulateGrad`. Ops use the helpers in ops.h; model code rarely calls
-  /// this directly.
+  /// this directly. Under a NoGradScope the parents and closure are dropped
+  /// and the node is a plain leaf holding `value`.
   static Var Op(Tensor value, std::vector<Var> parents,
                 std::function<void(const Tensor& grad, const Tensor& value)>
                     backward,
@@ -110,6 +111,37 @@ struct VarImpl {
   uint64_t visited_tag = 0;      // DFS membership for the current traversal.
 };
 }  // namespace internal
+
+/// Grad mode (DESIGN.md §10). Recording is on by default; a NoGradScope
+/// turns it off for the rest of the enclosing block on the constructing
+/// thread only (the flag is thread-local, so inference workers never
+/// perturb a concurrently training thread). With recording off every op
+/// still computes its forward value bit-for-bit as in grad mode, but
+/// returns it as a plain leaf: no parents, no backward closure, and none of
+/// the captures or stashes a backward would need — a forward pass then
+/// holds only its live values, and each intermediate is freed as soon as
+/// nothing reads it.
+namespace internal {
+inline thread_local bool grad_enabled = true;
+}  // namespace internal
+
+/// True unless a NoGradScope is active on this thread.
+inline bool GradEnabled() { return internal::grad_enabled; }
+
+/// RAII: disables grad recording on this thread until destruction, then
+/// restores the previous mode (scopes nest).
+class NoGradScope {
+ public:
+  NoGradScope() : prev_(internal::grad_enabled) {
+    internal::grad_enabled = false;
+  }
+  ~NoGradScope() { internal::grad_enabled = prev_; }
+  NoGradScope(const NoGradScope&) = delete;
+  NoGradScope& operator=(const NoGradScope&) = delete;
+
+ private:
+  bool prev_;
+};
 
 /// Runs reverse-mode differentiation from `root`, which must hold a single
 /// scalar (numel() == 1). Seeds d(root)/d(root) = 1 and invokes each

@@ -51,6 +51,7 @@ Var BatchNorm1d::ForwardWithStats(const Var& x, const Tensor& mean,
                                out.Row(i));
   }
 
+  if (!GradEnabled()) return Var::Leaf(std::move(out));
   Var gamma = gamma_;
   Var beta = beta_;
   Tensor mean_c = mean;
@@ -177,6 +178,7 @@ Var BatchNorm1d::ForwardWithStatsDeferred(
                                out.Row(i));
   }
 
+  if (!GradEnabled()) return Var::Leaf(std::move(out));
   Var gamma = gamma_;
   Tensor mean_c = mean;
   Tensor inv_std_c = inv_std;

@@ -103,9 +103,11 @@ Resolved ResolveOnce() {
   }
   EHNA_LOG(Info) << "kernels: ISA " << KernelIsaName(d.isa) << " ("
                  << (d.forced ? "forced via EHNA_KERNEL_ISA" : "auto") << ")";
+  // Pinned: the ISA is fixed for the process, so the gauge must survive
+  // MetricsRegistry::Reset() (and a metrics-off first dispatch).
   MetricsRegistry::Global()
       .GetGauge("kernels.isa.avx2")
-      ->Set(d.isa == KernelIsa::kAvx2 ? 1.0 : 0.0);
+      ->Pin(d.isa == KernelIsa::kAvx2 ? 1.0 : 0.0);
   const KernelTable* table = d.isa == KernelIsa::kAvx2 ? Avx2KernelsOrNull()
                                                        : &ScalarKernels();
   return Resolved{table, d.isa};

@@ -23,7 +23,8 @@
 //   unset / "auto"           AVX2 when compiled in and the CPU supports
 //                            AVX2+FMA, scalar otherwise
 // The selected ISA is logged once and exported through the metrics registry
-// as the gauge "kernels.isa.avx2" (1 when the AVX2 table is active).
+// as the pinned gauge "kernels.isa.avx2" (1 when the AVX2 table is active;
+// pinned, so it survives MetricsRegistry::Reset()).
 
 namespace ehna::kernels {
 

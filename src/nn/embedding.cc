@@ -27,6 +27,7 @@ Var Embedding::Gather(const std::vector<int64_t>& ids,
     EHNA_DCHECK(ids[i] >= 0 && ids[i] < num_rows());
     kernels::Copy(table_.Row(ids[i]), out.Row(static_cast<int64_t>(i)), d);
   }
+  if (!GradEnabled()) return Var::Leaf(std::move(out));
   auto map = sink ? sink : grad_map_ptr_;
   std::vector<int64_t> ids_copy = ids;
   // A "leaf with a hook": no parents, but a backward closure that scatters
@@ -53,6 +54,7 @@ Var Embedding::GatherRow(int64_t id,
   const int64_t d = dim();
   Tensor out = Tensor::Uninit(d);
   kernels::Copy(table_.Row(id), out.data(), d);
+  if (!GradEnabled()) return Var::Leaf(std::move(out));
   auto map = sink ? sink : grad_map_ptr_;
   return Var::Op(std::move(out), {},
                  [map, id, d](const Tensor& g, const Tensor&) {

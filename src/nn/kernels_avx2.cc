@@ -75,11 +75,17 @@ inline float DotAvx2(const float* x, const float* y, int64_t n) {
 // sweep. Parameterized over the A indexing so GemmNN (A row-major, step 1
 // in k) and GemmTN (A k-major, step m in k) share the kernel: the element
 // for tile row r at step kk is a[r * a_row_stride + kk * a_k_stride].
+//
+// Forced inline: GCC 12 emits the 5- and 6-row tiles out of line and then
+// keeps their accumulator arrays on the stack, storing every accumulator
+// on every k step. That halved GEMM throughput for m >= 5 (M = 256, K = 32,
+// N = 128: ~31 GFLOP/s spilled, ~65 inlined). Inlining changes no bit: each
+// C element is the same ascending-k fma chain either way.
 
 template <int R>
-inline void MicroNx16(int64_t k, const float* a, int64_t a_row_stride,
-                      int64_t a_k_stride, const float* b, int64_t ldb,
-                      float* c, int64_t ldc) {
+__attribute__((always_inline)) inline void MicroNx16(
+    int64_t k, const float* a, int64_t a_row_stride, int64_t a_k_stride,
+    const float* b, int64_t ldb, float* c, int64_t ldc) {
   __m256 acc0[R], acc1[R];
   for (int r = 0; r < R; ++r) {
     acc0[r] = _mm256_loadu_ps(c + r * ldc);
@@ -102,9 +108,9 @@ inline void MicroNx16(int64_t k, const float* a, int64_t a_row_stride,
 }
 
 template <int R>
-inline void MicroNx8(int64_t k, const float* a, int64_t a_row_stride,
-                     int64_t a_k_stride, const float* b, int64_t ldb, float* c,
-                     int64_t ldc) {
+__attribute__((always_inline)) inline void MicroNx8(
+    int64_t k, const float* a, int64_t a_row_stride, int64_t a_k_stride,
+    const float* b, int64_t ldb, float* c, int64_t ldc) {
   __m256 acc[R];
   for (int r = 0; r < R; ++r) acc[r] = _mm256_loadu_ps(c + r * ldc);
   const float* ak = a;

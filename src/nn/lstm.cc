@@ -1,6 +1,7 @@
 #include "nn/lstm.h"
 
 #include "nn/init.h"
+#include "nn/kernels.h"
 #include "nn/ops.h"
 
 namespace ehna {
@@ -76,10 +77,19 @@ Var StackedLstm::Forward(const std::vector<Var>& inputs,
   return states.back().h;
 }
 
+Var PackedLstmTrace::Readout(size_t t_end, int64_t row, int64_t rows) const {
+  if (!top_h.empty()) return ag::SegmentRows(top_h[t_end], row, rows);
+  EHNA_CHECK(row >= 0 && rows > 0 && row + rows <= final_h.rows());
+  Tensor out = Tensor::Uninit(rows, final_h.cols());
+  kernels::Copy(final_h.Row(row), out.data(), rows * final_h.cols());
+  return Var::Leaf(std::move(out));
+}
+
 PackedLstmTrace StackedLstm::ForwardPacked(
     const std::vector<Var>& inputs, const std::vector<Tensor>& masks) const {
   EHNA_CHECK(!inputs.empty());
   EHNA_CHECK(masks.empty() || masks.size() == inputs.size());
+  if (!GradEnabled()) return ForwardPackedNoGrad(inputs, masks);
   const size_t T = inputs.size();
   const size_t L = cells_.size();
   const bool masked = !masks.empty();
@@ -169,6 +179,57 @@ PackedLstmTrace StackedLstm::ForwardPacked(
         layer_input = h;
         states[l] = {h, h, c};
       }
+    }
+  }
+  return trace;
+}
+
+PackedLstmTrace StackedLstm::ForwardPackedNoGrad(
+    const std::vector<Var>& inputs, const std::vector<Tensor>& masks) const {
+  const size_t T = inputs.size();
+  const size_t L = cells_.size();
+  const int64_t n0 = inputs[0].value().rows();
+
+  // The same per-step op sequence as the grad-mode loop (row-local kernels,
+  // identical operands), minus the junctions: with no backward there is no
+  // fan-in to order, so every consumer reads `h` directly.
+  PackedLstmTrace trace;
+  trace.final_h = Tensor::Uninit(n0, hidden_dim_);
+  std::vector<LstmCell::State> states;
+  states.reserve(L);
+  for (const LstmCell& cell : cells_) states.push_back(cell.InitialState(n0));
+
+  for (size_t t = 0; t < T; ++t) {
+    const int64_t n_t = inputs[t].value().rows();
+    EHNA_CHECK_EQ(states[0].h.value().rows(), n_t);
+    const int64_t n_next = t + 1 < T ? inputs[t + 1].value().rows() : 0;
+    EHNA_CHECK(n_next <= n_t);
+
+    Var layer_input = inputs[t];
+    for (size_t l = 0; l < L; ++l) {
+      const LstmCell& cell = cells_[l];
+      Var z = ag::LstmPreactNoWeightGrad(layer_input, states[l].h,
+                                         cell.w_ih(), cell.w_hh(),
+                                         cell.bias());
+      Var hc = ag::LstmGates(z, states[l].c);
+      Var h = ag::SliceCols(hc, 0, hidden_dim_);
+      Var c = ag::SliceCols(hc, hidden_dim_, hidden_dim_);
+      if (!masks.empty()) {
+        h = ag::MaskRows(h, states[l].h, masks[t]);
+        c = ag::MaskRows(c, states[l].c, masks[t]);
+      }
+      if (l + 1 == L && n_next < n_t) {
+        // Rows [n_next, n_t) leave the pack after this step: their
+        // top-layer state is their readout.
+        kernels::Copy(h.value().Row(n_next), trace.final_h.Row(n_next),
+                      (n_t - n_next) * hidden_dim_);
+      }
+      layer_input = h;
+      if (n_next == 0) continue;  // last step: no state to carry.
+      states[l] = n_next < n_t
+                      ? LstmCell::State{ag::SegmentRows(h, 0, n_next),
+                                        ag::SegmentRows(c, 0, n_next)}
+                      : LstmCell::State{h, c};
     }
   }
   return trace;

@@ -57,12 +57,22 @@ struct PackedLstmStep {
   Var z;       // pre-activation node [n_t, 4h]
 };
 
-/// Full trace of a packed forward: per-step, per-layer records plus the
-/// post-mask top-layer hidden state of every step, from which the caller
-/// reads per-sequence finals with SegmentRows.
+/// Result of a packed forward. In grad mode it is the full trace:
+/// per-step, per-layer records plus the post-mask top-layer hidden state of
+/// every step. Under a NoGradScope nothing needs replaying, so `steps` and
+/// `top_h` stay empty and only `final_h` is kept: row r holds the top-layer
+/// hidden state at the last step row r was in the pack — each sequence's
+/// readout, O(rows × hidden) instead of O(T × rows × hidden) per layer.
 struct PackedLstmTrace {
   std::vector<std::vector<PackedLstmStep>> steps;  // [T][num_layers]
   std::vector<Var> top_h;                          // [T]
+  Tensor final_h;                                  // [n_0, hidden], no-grad
+
+  /// The top-layer final hidden state of rows [row, row + rows), a block
+  /// whose sequences all leave the pack after step `t_end`. Grad mode:
+  /// SegmentRows of top_h[t_end]; no-grad: a copy of those final_h rows
+  /// (the same bits).
+  Var Readout(size_t t_end, int64_t row, int64_t rows) const;
 };
 
 /// A stack of LSTM layers (the paper's "stacked LSTM" aggregator; the
@@ -95,7 +105,9 @@ class StackedLstm {
   /// sentinel rebuilds them per aggregation row-slice from the returned
   /// trace. State fan-ins whose accumulation order the engine does not
   /// force are routed through FanInUses junctions, so input/state
-  /// gradients are also schedule-independent.
+  /// gradients are also schedule-independent. Under a NoGradScope only the
+  /// live per-layer state survives a step, and the trace carries just the
+  /// per-row readouts (PackedLstmTrace::final_h).
   PackedLstmTrace ForwardPacked(const std::vector<Var>& inputs,
                                 const std::vector<Tensor>& masks) const;
 
@@ -106,6 +118,10 @@ class StackedLstm {
   const LstmCell& cell(int l) const { return cells_[l]; }
 
  private:
+  /// ForwardPacked under a NoGradScope.
+  PackedLstmTrace ForwardPackedNoGrad(const std::vector<Var>& inputs,
+                                      const std::vector<Tensor>& masks) const;
+
   int64_t hidden_dim_;
   std::vector<LstmCell> cells_;
 };

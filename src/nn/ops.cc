@@ -12,7 +12,8 @@ namespace ehna::ag {
 // Every dense loop below routes through nn/kernels.h (DESIGN.md §9); op
 // code only does shape checks, graph wiring, and kernel dispatch. Outputs
 // that a kernel fully overwrites are created with Tensor::Uninit so arena
-// allocation stays a pure pointer bump.
+// allocation stays a pure pointer bump. Under a NoGradScope each op returns
+// its forward value as a leaf before building any capture or closure.
 
 namespace {
 
@@ -29,6 +30,7 @@ Var Add(const Var& a, const Var& b) {
   EHNA_CHECK(a.value().SameShape(b.value()));
   Tensor out = UninitLike(a.value());
   kernels::Add(out.numel(), a.value().data(), b.value().data(), out.data());
+  if (!GradEnabled()) return Var::Leaf(std::move(out));
   return Var::Op(std::move(out), {a, b},
                  [a, b](const Tensor& g, const Tensor&) {
                    a.AccumulateGrad(g);
@@ -47,6 +49,7 @@ Var SumN(const std::vector<Var>& terms) {
   for (size_t i = 1; i < terms.size(); ++i) {
     kernels::Add(out.numel(), out.data(), terms[i].value().data(), out.data());
   }
+  if (!GradEnabled()) return Var::Leaf(std::move(out));
   std::vector<Var> parents = terms;
   return Var::Op(std::move(out), std::move(parents),
                  [terms](const Tensor& g, const Tensor&) {
@@ -64,6 +67,7 @@ Var AddRowBroadcast(const Var& mat, const Var& row) {
   for (int64_t i = 0; i < m.rows(); ++i) {
     kernels::Add(m.cols(), m.Row(i), r.data(), out.Row(i));
   }
+  if (!GradEnabled()) return Var::Leaf(std::move(out));
   return Var::Op(std::move(out), {mat, row},
                  [mat, row](const Tensor& g, const Tensor&) {
                    mat.AccumulateGrad(g);
@@ -80,6 +84,7 @@ Var Sub(const Var& a, const Var& b) {
   EHNA_CHECK(a.value().SameShape(b.value()));
   Tensor out = UninitLike(a.value());
   kernels::Sub(out.numel(), a.value().data(), b.value().data(), out.data());
+  if (!GradEnabled()) return Var::Leaf(std::move(out));
   return Var::Op(std::move(out), {a, b},
                  [a, b](const Tensor& g, const Tensor&) {
                    a.AccumulateGrad(g);
@@ -99,6 +104,7 @@ Var SubRowBroadcast(const Var& mat, const Var& row) {
   for (int64_t i = 0; i < m.rows(); ++i) {
     kernels::Sub(m.cols(), m.Row(i), r.data(), out.Row(i));
   }
+  if (!GradEnabled()) return Var::Leaf(std::move(out));
   return Var::Op(std::move(out), {mat, row},
                  [mat, row](const Tensor& g, const Tensor&) {
                    mat.AccumulateGrad(g);
@@ -115,6 +121,7 @@ Var Mul(const Var& a, const Var& b) {
   EHNA_CHECK(a.value().SameShape(b.value()));
   Tensor out = UninitLike(a.value());
   kernels::Mul(out.numel(), a.value().data(), b.value().data(), out.data());
+  if (!GradEnabled()) return Var::Leaf(std::move(out));
   return Var::Op(std::move(out), {a, b},
                  [a, b](const Tensor& g, const Tensor&) {
                    Tensor ga = UninitLike(g);
@@ -132,6 +139,7 @@ Var Mul(const Var& a, const Var& b) {
 Var ScalarMul(const Var& a, float c) {
   Tensor out = UninitLike(a.value());
   kernels::ScaledCopy(out.numel(), c, a.value().data(), out.data());
+  if (!GradEnabled()) return Var::Leaf(std::move(out));
   return Var::Op(std::move(out), {a},
                  [a, c](const Tensor& g, const Tensor&) {
                    Tensor ga = UninitLike(g);
@@ -144,6 +152,7 @@ Var ScalarMul(const Var& a, float c) {
 Var AddScalar(const Var& a, float c) {
   Tensor out = UninitLike(a.value());
   kernels::AddScalar(out.numel(), a.value().data(), c, out.data());
+  if (!GradEnabled()) return Var::Leaf(std::move(out));
   return Var::Op(std::move(out), {a},
                  [a](const Tensor& g, const Tensor&) { a.AccumulateGrad(g); },
                  "add_scalar");
@@ -152,6 +161,7 @@ Var AddScalar(const Var& a, float c) {
 Var MatMul(const Var& a, const Var& b) {
   EHNA_TRACE_PHASE("kernels.phase.gemm");
   Tensor out = ehna::MatMul(a.value(), b.value());
+  if (!GradEnabled()) return Var::Leaf(std::move(out));
   return Var::Op(std::move(out), {a, b},
                  [a, b](const Tensor& g, const Tensor&) {
                    EHNA_TRACE_PHASE("kernels.phase.gemm");
@@ -170,6 +180,7 @@ Var MatVec(const Var& mat, const Var& vec) {
   Tensor out = Tensor::Uninit(m.rows());
   kernels::Gemv(m.rows(), m.cols(), m.data(), v.data(), out.data(),
                 /*accumulate=*/false);
+  if (!GradEnabled()) return Var::Leaf(std::move(out));
   return Var::Op(
       std::move(out), {mat, vec},
       [mat, vec](const Tensor& g, const Tensor&) {
@@ -192,6 +203,7 @@ Var MatVec(const Var& mat, const Var& vec) {
 Var Sigmoid(const Var& a) {
   Tensor out = UninitLike(a.value());
   kernels::SigmoidForward(out.numel(), a.value().data(), out.data());
+  if (!GradEnabled()) return Var::Leaf(std::move(out));
   return Var::Op(std::move(out), {a},
                  [a](const Tensor& g, const Tensor& y) {
                    Tensor ga = UninitLike(g);
@@ -205,6 +217,7 @@ Var Sigmoid(const Var& a) {
 Var Tanh(const Var& a) {
   Tensor out = UninitLike(a.value());
   kernels::TanhForward(out.numel(), a.value().data(), out.data());
+  if (!GradEnabled()) return Var::Leaf(std::move(out));
   return Var::Op(std::move(out), {a},
                  [a](const Tensor& g, const Tensor& y) {
                    Tensor ga = UninitLike(g);
@@ -218,6 +231,7 @@ Var Tanh(const Var& a) {
 Var Relu(const Var& a) {
   Tensor out = UninitLike(a.value());
   kernels::ReluForward(out.numel(), a.value().data(), out.data());
+  if (!GradEnabled()) return Var::Leaf(std::move(out));
   return Var::Op(std::move(out), {a},
                  [a](const Tensor& g, const Tensor& y) {
                    Tensor ga = UninitLike(g);
@@ -231,6 +245,7 @@ Var Relu(const Var& a) {
 Var Exp(const Var& a) {
   Tensor out = UninitLike(a.value());
   kernels::ExpForward(out.numel(), a.value().data(), out.data());
+  if (!GradEnabled()) return Var::Leaf(std::move(out));
   return Var::Op(std::move(out), {a},
                  [a](const Tensor& g, const Tensor& y) {
                    Tensor ga = UninitLike(g);
@@ -244,6 +259,7 @@ Var Exp(const Var& a) {
 Var Log(const Var& a) {
   Tensor out = UninitLike(a.value());
   kernels::LogForward(out.numel(), a.value().data(), out.data());
+  if (!GradEnabled()) return Var::Leaf(std::move(out));
   return Var::Op(std::move(out), {a},
                  [a](const Tensor& g, const Tensor&) {
                    Tensor ga = UninitLike(g);
@@ -259,6 +275,7 @@ Var Softmax(const Var& vec) {
   EHNA_CHECK_EQ(x.rank(), 1);
   Tensor out = Tensor::Uninit(x.rows());
   kernels::SoftmaxForward(x.numel(), x.data(), out.data());
+  if (!GradEnabled()) return Var::Leaf(std::move(out));
   return Var::Op(std::move(out), {vec},
                  [vec](const Tensor& g, const Tensor& y) {
                    Tensor gx = Tensor::Uninit(y.rows());
@@ -272,6 +289,7 @@ Var Softmax(const Var& vec) {
 Var Sum(const Var& a) {
   Tensor out(1);
   out[0] = kernels::Sum(a.value().data(), a.value().numel());
+  if (!GradEnabled()) return Var::Leaf(std::move(out));
   return Var::Op(std::move(out), {a},
                  [a](const Tensor& g, const Tensor&) {
                    Tensor ga = UninitLike(a.value());
@@ -286,6 +304,7 @@ Var Mean(const Var& a) {
   EHNA_CHECK_GT(n, 0);
   Tensor out(1);
   out[0] = kernels::Sum(a.value().data(), n) / static_cast<float>(n);
+  if (!GradEnabled()) return Var::Leaf(std::move(out));
   return Var::Op(std::move(out), {a},
                  [a, n](const Tensor& g, const Tensor&) {
                    Tensor ga = UninitLike(a.value());
@@ -300,6 +319,7 @@ Var SumSquares(const Var& a) {
   const Tensor& x = a.value();
   Tensor out(1);
   out[0] = static_cast<float>(kernels::SumSquares(x.data(), x.numel()));
+  if (!GradEnabled()) return Var::Leaf(std::move(out));
   return Var::Op(std::move(out), {a},
                  [a](const Tensor& g, const Tensor&) {
                    Tensor ga = UninitLike(a.value());
@@ -317,6 +337,7 @@ Var RowSumSquares(const Var& mat) {
   for (int64_t i = 0; i < m.rows(); ++i) {
     out[i] = kernels::Dot(m.Row(i), m.Row(i), m.cols());
   }
+  if (!GradEnabled()) return Var::Leaf(std::move(out));
   return Var::Op(std::move(out), {mat},
                  [mat](const Tensor& g, const Tensor&) {
                    const Tensor& m = mat.value();
@@ -337,6 +358,7 @@ Var Dot(const Var& a, const Var& b) {
   EHNA_CHECK(x.SameShape(y));
   Tensor out(1);
   out[0] = kernels::Dot(x.data(), y.data(), x.numel());
+  if (!GradEnabled()) return Var::Leaf(std::move(out));
   return Var::Op(std::move(out), {a, b},
                  [a, b](const Tensor& g, const Tensor&) {
                    Tensor ga = UninitLike(b.value());
@@ -357,6 +379,7 @@ Var Row(const Var& mat, int64_t i) {
   EHNA_CHECK(i >= 0 && i < m.rows());
   Tensor out = Tensor::Uninit(m.cols());
   kernels::Copy(m.Row(i), out.data(), m.cols());
+  if (!GradEnabled()) return Var::Leaf(std::move(out));
   return Var::Op(std::move(out), {mat},
                  [mat, i](const Tensor& g, const Tensor&) {
                    const Tensor& m = mat.value();
@@ -378,6 +401,7 @@ Var ConcatRows(const std::vector<Var>& rows) {
   for (size_t i = 0; i < rows.size(); ++i) {
     kernels::Copy(rows[i].value().data(), out.Row(static_cast<int64_t>(i)), n);
   }
+  if (!GradEnabled()) return Var::Leaf(std::move(out));
   std::vector<Var> parents = rows;
   return Var::Op(std::move(out), std::move(parents),
                  [rows, n](const Tensor& g, const Tensor&) {
@@ -400,6 +424,7 @@ Var Concat(const Var& a, const Var& b) {
   kernels::Copy(x.data(), out.data(), x.numel());
   kernels::Copy(y.data(), out.data() + x.numel(), y.numel());
   const int64_t na = x.numel();
+  if (!GradEnabled()) return Var::Leaf(std::move(out));
   return Var::Op(std::move(out), {a, b},
                  [a, b, na](const Tensor& g, const Tensor&) {
                    Tensor ga = Tensor::Uninit(na);
@@ -420,6 +445,7 @@ Var SliceCols(const Var& mat, int64_t start, int64_t len) {
   for (int64_t i = 0; i < m.rows(); ++i) {
     kernels::Copy(m.Row(i) + start, out.Row(i), len);
   }
+  if (!GradEnabled()) return Var::Leaf(std::move(out));
   return Var::Op(std::move(out), {mat},
                  [mat, start, len](const Tensor& g, const Tensor&) {
                    const Tensor& m = mat.value();
@@ -442,6 +468,7 @@ Var ScaleRows(const Var& mat, const Var& scale) {
   for (int64_t i = 0; i < m.rows(); ++i) {
     kernels::ScaledCopy(m.cols(), s[i], m.Row(i), out.Row(i));
   }
+  if (!GradEnabled()) return Var::Leaf(std::move(out));
   return Var::Op(
       std::move(out), {mat, scale},
       [mat, scale](const Tensor& g, const Tensor&) {
@@ -468,6 +495,7 @@ Var ScaleRowsConst(const Var& mat, const Tensor& scale) {
   for (int64_t i = 0; i < m.rows(); ++i) {
     kernels::ScaledCopy(m.cols(), scale[i], m.Row(i), out.Row(i));
   }
+  if (!GradEnabled()) return Var::Leaf(std::move(out));
   Tensor scale_copy = scale;
   return Var::Op(std::move(out), {mat},
                  [mat, scale_copy](const Tensor& g, const Tensor&) {
@@ -493,6 +521,7 @@ Var MaskRows(const Var& a, const Var& b, const Tensor& mask) {
   for (int64_t i = 0; i < x.rows(); ++i) {
     kernels::Lerp(x.cols(), mask[i], x.Row(i), y.Row(i), out.Row(i));
   }
+  if (!GradEnabled()) return Var::Leaf(std::move(out));
   Tensor mask_copy = mask;
   return Var::Op(
       std::move(out), {a, b},
@@ -519,6 +548,7 @@ Var L2Normalize(const Var& vec, float eps) {
   const float denom = degenerate ? eps : norm;
   Tensor out = Tensor::Uninit(x.rows());
   kernels::ScaledCopy(x.numel(), 1.0f / denom, x.data(), out.data());
+  if (!GradEnabled()) return Var::Leaf(std::move(out));
   return Var::Op(std::move(out), {vec},
                  [vec, denom, degenerate](const Tensor& g, const Tensor& y) {
                    Tensor gx = Tensor::Uninit(y.rows());
@@ -546,6 +576,7 @@ Var Hinge(const Var& scalar) {
 Var LogSigmoid(const Var& a) {
   Tensor out = UninitLike(a.value());
   kernels::LogSigmoidForward(out.numel(), a.value().data(), out.data());
+  if (!GradEnabled()) return Var::Leaf(std::move(out));
   return Var::Op(std::move(out), {a},
                  [a](const Tensor& g, const Tensor&) {
                    Tensor ga = UninitLike(g);
@@ -560,6 +591,7 @@ Var BroadcastScalar(const Var& scalar, int64_t n) {
   EHNA_CHECK_EQ(scalar.value().numel(), 1);
   EHNA_CHECK_GT(n, 0);
   Tensor out = Tensor::Full(n, scalar.value()[0]);
+  if (!GradEnabled()) return Var::Leaf(std::move(out));
   return Var::Op(std::move(out), {scalar},
                  [scalar](const Tensor& g, const Tensor&) {
                    Tensor gs(1);
@@ -573,6 +605,7 @@ Var MulConst(const Var& a, const Tensor& c) {
   EHNA_CHECK(a.value().SameShape(c));
   Tensor out = UninitLike(a.value());
   kernels::Mul(out.numel(), a.value().data(), c.data(), out.data());
+  if (!GradEnabled()) return Var::Leaf(std::move(out));
   Tensor c_copy = c;
   return Var::Op(std::move(out), {a},
                  [a, c_copy](const Tensor& g, const Tensor&) {
@@ -592,6 +625,7 @@ Var ColMean(const Var& mat) {
     kernels::Axpy(m.cols(), 1.0f, m.Row(i), out.data());
   }
   kernels::Scale(m.cols(), 1.0f / static_cast<float>(m.rows()), out.data());
+  if (!GradEnabled()) return Var::Leaf(std::move(out));
   return Var::Op(std::move(out), {mat},
                  [mat](const Tensor& g, const Tensor&) {
                    const Tensor& m = mat.value();
@@ -610,6 +644,7 @@ Var AsMatrix(const Var& vec) {
   const Tensor& x = vec.value();
   EHNA_CHECK_EQ(x.rank(), 1);
   Tensor out = x.Reshape(1, x.numel());
+  if (!GradEnabled()) return Var::Leaf(std::move(out));
   return Var::Op(std::move(out), {vec},
                  [vec](const Tensor& g, const Tensor&) {
                    Tensor gv = Tensor::Uninit(g.numel());
@@ -625,6 +660,7 @@ Var AsVector(const Var& mat) {
   EHNA_CHECK_EQ(x.rows(), 1);
   Tensor out = Tensor::Uninit(x.cols());
   kernels::Copy(x.data(), out.data(), x.cols());
+  if (!GradEnabled()) return Var::Leaf(std::move(out));
   return Var::Op(std::move(out), {mat},
                  [mat](const Tensor& g, const Tensor&) {
                    Tensor gm = g.Reshape(1, g.numel());
@@ -661,6 +697,7 @@ Var LstmPreact(const Var& x, const Var& w_ih, const Var& h, const Var& w_hh,
   for (int64_t i = 0; i < b; ++i) {
     kernels::Add(four_h, out.Row(i), bv.data(), out.Row(i));
   }
+  if (!GradEnabled()) return Var::Leaf(std::move(out));
   return Var::Op(
       std::move(out), {x, w_ih, h, w_hh, bias},
       [x, w_ih, h, w_hh, bias](const Tensor& g, const Tensor&) {
@@ -707,7 +744,8 @@ Var LstmGates(const Var& z, const Var& c_prev) {
   const int64_t b = zv.rows();
   const int64_t hsize = cv.cols();
   // Stashed forward intermediates the fused backward kernel needs. The
-  // shared_ptr keeps them alive exactly as long as the graph node.
+  // shared_ptr keeps them alive exactly as long as the graph node; under a
+  // NoGradScope they are only kernel scratch, freed on return.
   struct Stash {
     Tensor ifgo;
     Tensor tanh_c;
@@ -718,6 +756,7 @@ Var LstmGates(const Var& z, const Var& c_prev) {
   Tensor hc = Tensor::Uninit(b, 2 * hsize);
   kernels::LstmGateForward(b, hsize, zv.data(), cv.data(), stash->ifgo.data(),
                            stash->tanh_c.data(), hc.data());
+  if (!GradEnabled()) return Var::Leaf(std::move(hc));
   return Var::Op(
       std::move(hc), {z, c_prev},
       [z, c_prev, stash, b, hsize](const Tensor& g, const Tensor&) {
@@ -748,6 +787,7 @@ Var AttentionSoftmax(const Var& emb, const Var& target,
   Tensor alpha = Tensor::Uninit(l);
   kernels::AttentionSoftmaxForward(l, d, e.data(), t.data(),
                                    neg_coeffs.data(), alpha.data());
+  if (!GradEnabled()) return Var::Leaf(std::move(alpha));
   Tensor nc_copy = neg_coeffs;
   return Var::Op(
       std::move(alpha), {emb, target},
@@ -774,6 +814,7 @@ Var SegmentRows(const Var& mat, int64_t row_start, int64_t rows) {
   EHNA_CHECK(row_start >= 0 && rows > 0 && row_start + rows <= m.rows());
   Tensor out = Tensor::Uninit(rows, m.cols());
   kernels::Copy(m.Row(row_start), out.data(), rows * m.cols());
+  if (!GradEnabled()) return Var::Leaf(std::move(out));
   return Var::Op(std::move(out), {mat},
                  [mat, row_start](const Tensor& g, const Tensor&) {
                    mat.AccumulateGradRows(row_start, g);
@@ -796,6 +837,7 @@ Var PackRows(const std::vector<Var>& sources,
       kernels::Copy(src.Row(r.row), dst, cols);
     }
   }
+  if (!GradEnabled()) return Var::Leaf(std::move(out));
   std::vector<Var> parents = sources;
   return Var::Op(std::move(out), std::move(parents),
                  [sources, refs](const Tensor& g, const Tensor&) {
@@ -811,6 +853,8 @@ Var PackRows(const std::vector<Var>& sources,
 
 std::vector<Var> FanInUses(const Var& src, int n) {
   EHNA_CHECK_GT(n, 1);
+  // Without a backward there is no fan-in to order: every use is `src`.
+  if (!GradEnabled()) return std::vector<Var>(n, src);
   // Shared countdown: each use parks its gradient in a private slot; the
   // last-executed use sums the slots in slot order, so the total fed to
   // `src` is independent of the engine's closure schedule.
@@ -868,6 +912,7 @@ Var LstmPreactNoWeightGrad(const Var& x, const Var& h, const Var& w_ih,
   for (int64_t i = 0; i < b; ++i) {
     kernels::Add(four_h, out.Row(i), bv.data(), out.Row(i));
   }
+  if (!GradEnabled()) return Var::Leaf(std::move(out));
   return Var::Op(
       std::move(out), {x, h},
       [x, h, w_ih, w_hh](const Tensor& g, const Tensor&) {
@@ -893,6 +938,7 @@ Var LstmPreactNoWeightGrad(const Var& x, const Var& h, const Var& w_ih,
 Var MatMulNoWeightGrad(const Var& a, const Var& w) {
   EHNA_TRACE_PHASE("kernels.phase.gemm");
   Tensor out = ehna::MatMul(a.value(), w.value());
+  if (!GradEnabled()) return Var::Leaf(std::move(out));
   return Var::Op(std::move(out), {a},
                  [a, w](const Tensor& g, const Tensor&) {
                    EHNA_TRACE_PHASE("kernels.phase.gemm");
@@ -913,6 +959,7 @@ Var ConcatDeferredB(const Var& a, const Tensor& b_value,
   const int64_t na = x.numel();
   // `order_tether` only forces the traversal to reach the replay sentinel
   // through this node's subtree; no gradient is routed to it here.
+  if (!GradEnabled()) return Var::Leaf(std::move(out));
   return Var::Op(std::move(out), {a, order_tether},
                  [a, b_grad, na](const Tensor& g, const Tensor&) {
                    Tensor ga = Tensor::Uninit(na);
@@ -941,6 +988,7 @@ Var AttentionSoftmaxDeferredTarget(const Var& emb, const Tensor& target_value,
   Tensor alpha = Tensor::Uninit(l);
   kernels::AttentionSoftmaxForward(l, d, e.data(), target_value.data(),
                                    neg_coeffs.data(), alpha.data());
+  if (!GradEnabled()) return Var::Leaf(std::move(alpha));
   Tensor t_copy = target_value;
   Tensor nc_copy = neg_coeffs;
   return Var::Op(

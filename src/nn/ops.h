@@ -9,8 +9,9 @@
 namespace ehna::ag {
 
 // Differentiable operations over `Var`. Every function returns a new graph
-// node whose backward closure routes gradients to its inputs. Shape
-// conventions: "vec" is rank-1 [n]; "mat" is rank-2 [m,n].
+// node whose backward closure routes gradients to its inputs — or, under a
+// NoGradScope (autograd.h), the bit-identical forward value as a plain
+// leaf. Shape conventions: "vec" is rank-1 [n]; "mat" is rank-2 [m,n].
 
 /// Elementwise a + b (same shape).
 Var Add(const Var& a, const Var& b);

@@ -129,10 +129,12 @@ Status EmbeddingServer::RefreshLocked() {
   }
   EHNA_TRACE_PHASE("serve.phase.refresh");
 
-  Status st = overlay_->Compact();
-  if (!st.ok()) return st;
+  {
+    EHNA_TRACE_PHASE("serve.phase.compact");
+    EHNA_RETURN_NOT_OK(overlay_->Compact());
+    engine_->RebindGraph(&overlay_->current());
+  }
   const TemporalGraph& graph = overlay_->current();
-  engine_->RebindGraph(&graph);
 
   // Nodes first seen in the stream: extend the trained table (fresh
   // word2vec-style rows from the dedicated grow stream) and the serving
@@ -146,12 +148,21 @@ Status EmbeddingServer::RefreshLocked() {
     serving_ = std::move(grown);
   }
 
-  engine_->RefreshInto(affected_, &serving_);
-  // Re-quantize exactly the refreshed rows: RequantizeRow is a pure
-  // function of the fp32 row, so untouched mirror rows keep their bytes.
-  RequantizeRows(affected_);
-  for (const NodeId v : affected_) {
-    index_->Update(v, serving_.Row(v));
+  {
+    EHNA_TRACE_PHASE("serve.phase.reaggregate");
+    engine_->RefreshInto(affected_, &serving_);
+  }
+  {
+    // Re-quantize exactly the refreshed rows: RequantizeRow is a pure
+    // function of the fp32 row, so untouched mirror rows keep their bytes.
+    EHNA_TRACE_PHASE("serve.phase.requantize");
+    RequantizeRows(affected_);
+  }
+  {
+    EHNA_TRACE_PHASE("serve.phase.index_update");
+    for (const NodeId v : affected_) {
+      index_->Update(v, serving_.Row(v));
+    }
   }
   ++refreshes_;
   refreshed_nodes_ += affected_.size();

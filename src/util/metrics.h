@@ -115,7 +115,20 @@ class Gauge {
     return FromBits(bits_.load(std::memory_order_relaxed));
   }
 
-  void Reset() { bits_.store(ToBits(0.0), std::memory_order_relaxed); }
+  /// For gauges that describe process configuration rather than activity
+  /// (e.g. the active kernel ISA, fixed once per process): records `v`
+  /// even while metrics are disabled, and makes Reset() restore `v`
+  /// instead of zero, so a registry reset cannot make the gauge lie.
+  void Pin(double v) {
+    pinned_bits_.store(ToBits(v), std::memory_order_relaxed);
+    bits_.store(ToBits(v), std::memory_order_relaxed);
+  }
+
+  /// Back to zero, or to the pinned value for a pinned gauge.
+  void Reset() {
+    bits_.store(pinned_bits_.load(std::memory_order_relaxed),
+                std::memory_order_relaxed);
+  }
 
  private:
   static uint64_t ToBits(double v) {
@@ -130,6 +143,7 @@ class Gauge {
     return v;
   }
   std::atomic<uint64_t> bits_{0};
+  std::atomic<uint64_t> pinned_bits_{0};  // 0.0: unpinned gauges zero.
 };
 
 // ---------------------------------------------------------- HistogramData

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <memory>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "nn/autograd.h"
 #include "nn/init.h"
@@ -296,6 +302,147 @@ TEST(GradCheckTest, CompositeExpressionLikeLoss) {
         Var d_neg = ag::SumSquares(ag::Sub(v[0], v[2]));
         return ag::Hinge(ag::AddScalar(ag::Sub(d_pos, d_neg), 1.0f));
       });
+}
+
+// ------------------------------------------------------------- no-grad mode
+
+bool SameBits(const Tensor& a, const Tensor& b) {
+  return a.SameShape(b) &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+/// A node built under a NoGradScope retains nothing a backward would use.
+void ExpectTapeFree(const Var& v, const std::string& what) {
+  EXPECT_TRUE(v.impl()->parents.empty()) << what;
+  EXPECT_FALSE(static_cast<bool>(v.impl()->backward)) << what;
+}
+
+TEST(NoGradTest, ScopeIsThreadLocalAndNests) {
+  EXPECT_TRUE(GradEnabled());
+  {
+    NoGradScope outer;
+    EXPECT_FALSE(GradEnabled());
+    {
+      NoGradScope inner;
+      EXPECT_FALSE(GradEnabled());
+    }
+    EXPECT_FALSE(GradEnabled());
+    bool other_thread = false;
+    std::thread([&] { other_thread = GradEnabled(); }).join();
+    EXPECT_TRUE(other_thread);
+  }
+  EXPECT_TRUE(GradEnabled());
+}
+
+// Every op of ops.h: the no-grad value is bit-identical to the grad-mode
+// value, and the no-grad node holds no parents and no closure — so none of
+// the captures or stashes (LstmGates' gate activations, BatchNorm's
+// statistics, mask and coefficient copies) outlive the call.
+TEST(NoGradTest, EveryOpMatchesGradModeBitwiseAndRecordsNothing) {
+  Rng rng(41);
+  const Var a = RandomLeaf(4, 3, &rng);
+  const Var b = RandomLeaf(4, 3, &rng);
+  Tensor positive(4, 3);
+  UniformInit(&positive, 0.5f, 2.0f, &rng);
+  const Var pos = Var::Leaf(std::move(positive), /*requires_grad=*/true);
+  const Var row3 = RandomLeaf(3, &rng);
+  const Var vec4 = RandomLeaf(4, &rng);
+  const Var vec4b = RandomLeaf(4, &rng);
+  const Var w34 = RandomLeaf(3, 5, &rng);
+  const Var scalar = RandomLeaf(1, &rng);
+  const Var z = RandomLeaf(4, 8, &rng);   // LSTM pre-activations, h = 2.
+  const Var c = RandomLeaf(4, 2, &rng);
+  const Var w_ih = RandomLeaf(3, 8, &rng);
+  const Var h2 = RandomLeaf(4, 2, &rng);
+  const Var w_hh = RandomLeaf(2, 8, &rng);
+  const Var bias8 = RandomLeaf(8, &rng);
+  const Tensor mask = Tensor::FromVector({1.0f, 0.0f, 1.0f, 0.0f});
+  const Tensor neg = Tensor::FromVector({-0.5f, -1.0f, -2.0f, -0.25f});
+  const Tensor scales = Tensor::FromVector({0.5f, 2.0f, -1.0f, 3.0f});
+
+  const std::vector<std::pair<std::string, std::function<Var()>>> ops = {
+      {"Add", [&] { return ag::Add(a, b); }},
+      {"SumN", [&] { return ag::SumN({a, b, a}); }},
+      {"AddRowBroadcast", [&] { return ag::AddRowBroadcast(a, row3); }},
+      {"Sub", [&] { return ag::Sub(a, b); }},
+      {"SubRowBroadcast", [&] { return ag::SubRowBroadcast(a, row3); }},
+      {"Mul", [&] { return ag::Mul(a, b); }},
+      {"ScalarMul", [&] { return ag::ScalarMul(a, 1.7f); }},
+      {"AddScalar", [&] { return ag::AddScalar(a, -0.3f); }},
+      {"MatMul", [&] { return ag::MatMul(a, w34); }},
+      {"MatVec", [&] { return ag::MatVec(a, row3); }},
+      {"Sigmoid", [&] { return ag::Sigmoid(a); }},
+      {"Tanh", [&] { return ag::Tanh(a); }},
+      {"Relu", [&] { return ag::Relu(a); }},
+      {"Exp", [&] { return ag::Exp(a); }},
+      {"Log", [&] { return ag::Log(pos); }},
+      {"Softmax", [&] { return ag::Softmax(vec4); }},
+      {"Sum", [&] { return ag::Sum(a); }},
+      {"Mean", [&] { return ag::Mean(a); }},
+      {"SumSquares", [&] { return ag::SumSquares(a); }},
+      {"RowSumSquares", [&] { return ag::RowSumSquares(a); }},
+      {"Dot", [&] { return ag::Dot(vec4, vec4b); }},
+      {"Row", [&] { return ag::Row(a, 2); }},
+      {"ConcatRows", [&] { return ag::ConcatRows({row3, row3}); }},
+      {"Concat", [&] { return ag::Concat(vec4, row3); }},
+      {"SliceCols", [&] { return ag::SliceCols(a, 1, 2); }},
+      {"ScaleRows", [&] { return ag::ScaleRows(a, vec4); }},
+      {"ScaleRowsConst", [&] { return ag::ScaleRowsConst(a, scales); }},
+      {"MaskRows", [&] { return ag::MaskRows(a, b, mask); }},
+      {"L2Normalize", [&] { return ag::L2Normalize(vec4); }},
+      {"Hinge", [&] { return ag::Hinge(scalar); }},
+      {"LogSigmoid", [&] { return ag::LogSigmoid(a); }},
+      {"BroadcastScalar", [&] { return ag::BroadcastScalar(scalar, 5); }},
+      {"MulConst", [&] { return ag::MulConst(a, b.value()); }},
+      {"ColMean", [&] { return ag::ColMean(a); }},
+      {"AsMatrix", [&] { return ag::AsMatrix(vec4); }},
+      {"AsVector", [&] { return ag::AsVector(ag::AsMatrix(vec4)); }},
+      {"LstmPreact",
+       [&] { return ag::LstmPreact(a, w_ih, h2, w_hh, bias8); }},
+      {"LstmGates", [&] { return ag::LstmGates(z, c); }},
+      {"AttentionSoftmax",
+       [&] { return ag::AttentionSoftmax(a, row3, neg); }},
+      {"SegmentRows", [&] { return ag::SegmentRows(a, 1, 2); }},
+      {"PackRows",
+       [&] {
+         return ag::PackRows({a, b}, {{1, 0}, {-1, 0}, {0, 3}}, 3);
+       }},
+      {"LstmPreactNoWeightGrad",
+       [&] {
+         return ag::LstmPreactNoWeightGrad(a, h2, w_ih, w_hh, bias8);
+       }},
+      {"MatMulNoWeightGrad", [&] { return ag::MatMulNoWeightGrad(a, w34); }},
+      {"ConcatDeferredB",
+       [&] {
+         return ag::ConcatDeferredB(vec4, row3.value(),
+                                    std::make_shared<Tensor>(3), a);
+       }},
+      {"AttentionSoftmaxDeferredTarget",
+       [&] {
+         return ag::AttentionSoftmaxDeferredTarget(
+             a, row3.value(), neg, std::make_shared<Tensor>(3), row3);
+       }},
+  };
+  for (const auto& [name, build] : ops) {
+    const Var recorded = build();
+    EXPECT_TRUE(!recorded.impl()->parents.empty() ||
+                static_cast<bool>(recorded.impl()->backward))
+        << name << " records nothing even in grad mode";
+    Var free;
+    {
+      NoGradScope no_grad;
+      free = build();
+    }
+    EXPECT_TRUE(SameBits(recorded.value(), free.value())) << name;
+    ExpectTapeFree(free, name);
+  }
+
+  // FanInUses: no junction without a backward; every use is the source.
+  {
+    NoGradScope no_grad;
+    for (const Var& use : ag::FanInUses(a, 3)) EXPECT_TRUE(use == a);
+  }
 }
 
 }  // namespace

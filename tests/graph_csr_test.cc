@@ -21,6 +21,7 @@
 
 #include "core/checkpoint.h"
 #include "core/model.h"
+#include "graph/dynamic_graph.h"
 #include "graph/edge_log.h"
 #include "graph/generators/generators.h"
 #include "graph/temporal_graph.h"
@@ -352,6 +353,127 @@ TEST(CsrEdgeLogEquivalenceTest, TrainingCheckpointsByteIdenticalAcrossPaths) {
   ASSERT_FALSE(bytes_a.empty());
   EXPECT_EQ(bytes_a, read_bytes(path_b));
   fs::remove_all(dir);
+}
+
+// ------------------------------------------- merge compaction vs FromEdges
+
+/// Every observable of `got` equals the FromEdges rebuild `want`: edge
+/// list, adjacency including EdgeIds, historical prefixes, HasEdge (the
+/// sorted-neighbor index), min/max time, and seeded temporal walks.
+void ExpectGraphsIdentical(const TemporalGraph& got, const TemporalGraph& want,
+                           const std::string& what) {
+  ASSERT_EQ(got.num_nodes(), want.num_nodes()) << what;
+  ASSERT_EQ(got.directed(), want.directed()) << what;
+  ASSERT_EQ(got.edges(), want.edges()) << what;
+  ASSERT_EQ(got.min_time(), want.min_time()) << what;
+  ASSERT_EQ(got.max_time(), want.max_time()) << what;
+  const std::vector<Timestamp> cutoffs = {
+      want.min_time() - 1.0, want.min_time(),
+      0.5 * (want.min_time() + want.max_time()), want.max_time()};
+  for (NodeId v = 0; v < want.num_nodes(); ++v) {
+    const auto a = got.Neighbors(v);
+    const auto b = want.Neighbors(v);
+    ASSERT_EQ(a.size(), b.size()) << what << " node " << v;
+    for (size_t i = 0; i < b.size(); ++i) {
+      ASSERT_TRUE(SameEntry(a[i], b[i]))
+          << what << " node " << v << " slot " << i;
+    }
+    for (const Timestamp cutoff : cutoffs) {
+      ASSERT_EQ(got.NeighborsBefore(v, cutoff).size(),
+                want.NeighborsBefore(v, cutoff).size())
+          << what << " node " << v << " cutoff " << cutoff;
+    }
+    for (NodeId u = 0; u <= want.num_nodes(); ++u) {
+      ASSERT_EQ(got.HasEdge(v, u), want.HasEdge(v, u))
+          << what << " pair (" << v << ", " << u << ")";
+    }
+  }
+  if (want.num_edges() == 0) return;
+  TemporalWalkConfig wcfg;
+  wcfg.walk_length = 6;
+  wcfg.num_walks = 3;
+  wcfg.p = 2.0;
+  wcfg.q = 0.5;
+  const auto anchors = WalkAnchors(want, 32);
+  EXPECT_EQ(TemporalWalkSampler(&got, wcfg).SampleWalksBatch(anchors, 5,
+                                                             nullptr),
+            TemporalWalkSampler(&want, wcfg).SampleWalksBatch(anchors, 5,
+                                                              nullptr))
+      << what;
+}
+
+// Streams the second half of each sweep edge set through the dynamic
+// overlay in random-size deltas, compacting after each: the deltas arrive
+// out of time order, tie existing and each other's timestamps, and bring
+// node ids the snapshot has never seen (the base also carries trailing
+// isolated nodes). After every Compact the overlay's snapshot must be
+// indistinguishable from FromEdges over everything ingested so far.
+TEST_P(CsrDifferentialTest, MergeCompactionMatchesFromEdgesRebuild) {
+  const EdgeSetConfig cfg = GetParam();
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    Rng rng(seed * 104729);
+    const auto input = RandomEdges(cfg, &rng);
+    const size_t base_n = input.size() / 2;
+    std::vector<TemporalEdge> seen(input.begin(), input.begin() + base_n);
+    NodeId base_nodes = 0;
+    for (const TemporalEdge& e : seen) {
+      base_nodes = std::max(base_nodes, std::max(e.src, e.dst) + 1);
+    }
+    base_nodes += 3;  // trailing isolated nodes; the stream may touch them.
+    auto base = TemporalGraph::FromEdges(seen, base_nodes, cfg.directed);
+    ASSERT_TRUE(base.ok()) << base.status();
+
+    DynamicTemporalGraph overlay(&base.value());
+    size_t next = base_n;
+    int round = 0;
+    while (next < input.size()) {
+      const size_t take = std::min<size_t>(1 + rng.UniformInt(uint64_t{40}),
+                                           input.size() - next);
+      for (size_t i = 0; i < take; ++i) {
+        ASSERT_TRUE(overlay.Ingest(input[next + i]).ok());
+      }
+      seen.insert(seen.end(), input.begin() + next,
+                  input.begin() + next + take);
+      next += take;
+      ASSERT_TRUE(overlay.Compact().ok());
+      auto want =
+          TemporalGraph::FromEdges(seen, overlay.num_nodes(), cfg.directed);
+      ASSERT_TRUE(want.ok()) << want.status();
+      ExpectGraphsIdentical(overlay.current(), want.value(),
+                            cfg.name + " seed " + std::to_string(seed) +
+                                " round " + std::to_string(round++));
+    }
+  }
+}
+
+// InsertEdges directly: a delta entirely older than the graph (every old
+// EdgeId shifts), a delta tied with the newest edges, and an empty delta
+// that only widens the node range.
+TEST(CsrMergeTest, InsertEdgesShiftsIdsAndGrowsNodes) {
+  const std::vector<TemporalEdge> head = {
+      {0, 1, 5.0, 1.0f}, {1, 2, 6.0, 1.0f}, {2, 0, 6.0, 2.0f}};
+  const std::vector<TemporalEdge> older = {{3, 0, 1.0, 1.0f},
+                                           {1, 3, 0.5, 1.0f}};
+  const std::vector<TemporalEdge> tied = {{4, 2, 6.0, 3.0f},
+                                          {0, 4, 6.0, 1.0f}};
+  for (const bool directed : {false, true}) {
+    auto g = TemporalGraph::FromEdges(head, 3, directed);
+    ASSERT_TRUE(g.ok());
+    TemporalGraph merged = std::move(g).value();
+    std::vector<TemporalEdge> all = head;
+    for (const auto* delta : {&older, &tied}) {
+      ASSERT_TRUE(merged.InsertEdges(*delta, 5).ok());
+      all.insert(all.end(), delta->begin(), delta->end());
+      auto want = TemporalGraph::FromEdges(all, 5, directed);
+      ASSERT_TRUE(want.ok());
+      ExpectGraphsIdentical(merged, want.value(), "delta");
+    }
+    ASSERT_TRUE(merged.InsertEdges({}, 9).ok());
+    auto want = TemporalGraph::FromEdges(all, 9, directed);
+    ASSERT_TRUE(want.ok());
+    ExpectGraphsIdentical(merged, want.value(), "empty delta");
+    EXPECT_FALSE(merged.InsertEdges({}, 4).ok());  // cannot shrink.
+  }
 }
 
 // ------------------------------------------------------ edge-count ceiling

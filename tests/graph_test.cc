@@ -41,6 +41,56 @@ TEST(TemporalGraphTest, RejectsOutOfRangeNodeIds) {
   EXPECT_FALSE(g.ok());
 }
 
+// A NaN timestamp makes `a.time < b.time` inconsistent, so the stable
+// sort (and the merge compaction built on it) would have no total order.
+TEST(TemporalGraphTest, RejectsNonFiniteTimestamps) {
+  for (const double t : {std::nan(""), double{INFINITY}, -double{INFINITY}}) {
+    auto g = TemporalGraph::FromEdges({{0, 1, 1.0, 1.0f}, {1, 2, t, 1.0f}});
+    ASSERT_FALSE(g.ok()) << t;
+    EXPECT_EQ(g.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(g.status().message().find("timestamp"), std::string::npos);
+  }
+}
+
+// `weight < 0` is false for NaN, so the sign check alone let NaN through.
+TEST(TemporalGraphTest, RejectsNonFiniteWeights) {
+  for (const float w : {std::nanf(""), INFINITY, -INFINITY}) {
+    auto g = TemporalGraph::FromEdges({{0, 1, 1.0, w}});
+    ASSERT_FALSE(g.ok()) << w;
+    EXPECT_EQ(g.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(g.status().message().find("weight"), std::string::npos);
+  }
+}
+
+// max id + 1 would wrap NodeId to 0 and leave the CSR offsets empty.
+TEST(TemporalGraphTest, RejectsReservedInvalidNodeId) {
+  auto g = TemporalGraph::FromEdges({{0, kInvalidNode, 1.0, 1.0f}});
+  ASSERT_FALSE(g.ok());
+  EXPECT_EQ(g.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(g.status().message().find("reserved"), std::string::npos);
+}
+
+// A rejected InsertEdges must leave the graph exactly as it was.
+TEST(TemporalGraphTest, InsertEdgesRejectsInvalidDeltaUnchanged) {
+  auto g = TemporalGraph::FromEdges(TriangleEdges());
+  ASSERT_TRUE(g.ok());
+  TemporalGraph graph = std::move(g).value();
+  const std::vector<TemporalEdge> bad[] = {
+      {{0, 1, 4.0, 1.0f}, {1, 2, std::nan(""), 1.0f}},
+      {{0, 1, 4.0, std::nanf("")}},
+      {{0, 1, 4.0, 1.0f}, {2, 2, 5.0, 1.0f}},
+      {{0, 7, 4.0, 1.0f}},  // endpoint past the requested node range.
+  };
+  for (const auto& delta : bad) {
+    const Status st = graph.InsertEdges(delta, 4);
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(graph.num_nodes(), 3u);
+    EXPECT_EQ(graph.edges(), TriangleEdges());
+    EXPECT_EQ(graph.Degree(0), 2u);
+  }
+}
+
 TEST(TemporalGraphTest, ExplicitNumNodesAllowsIsolated) {
   auto g = TemporalGraph::FromEdges({{0, 1, 0.0, 1.0f}}, /*num_nodes=*/10);
   ASSERT_TRUE(g.ok());

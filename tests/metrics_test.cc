@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "nn/cpu_dispatch.h"
 #include "util/metrics.h"
 #include "util/table_writer.h"
 #include "util/thread_pool.h"
@@ -69,6 +70,32 @@ TEST(GaugeTest, LastWriteWinsAndRoundTripsDoubles) {
   EXPECT_EQ(g->Value(), 1e308);
   g->Reset();
   EXPECT_EQ(g->Value(), 0.0);
+}
+
+TEST(GaugeTest, PinnedGaugeSurvivesResetAndDisabledMetrics) {
+  Gauge* g = MetricsRegistry::Global().GetGauge("test.gauge.pinned");
+  MetricsRegistry::SetEnabled(false);
+  g->Pin(3.0);  // configuration facts are recorded even when disabled.
+  MetricsRegistry::SetEnabled(true);
+  EXPECT_EQ(g->Value(), 3.0);
+  g->Set(5.0);
+  EXPECT_EQ(g->Value(), 5.0);
+  MetricsRegistry::Global().Reset();
+  EXPECT_EQ(g->Value(), 3.0);
+}
+
+// The ISA is resolved once per process, at the first kernel call; a
+// registry reset afterwards must not make the gauge report scalar while
+// AVX2 kernels run.
+TEST(GaugeTest, KernelIsaGaugeReportsActiveIsaAfterReset) {
+  const double want =
+      kernels::ActiveIsa() == kernels::KernelIsa::kAvx2 ? 1.0 : 0.0;
+  Gauge* g = MetricsRegistry::Global().GetGauge("kernels.isa.avx2");
+  EXPECT_EQ(g->Value(), want);
+  MetricsRegistry::Global().Reset();
+  EXPECT_EQ(g->Value(), want);
+  EXPECT_EQ(MetricsRegistry::Global().Snapshot().GaugeValue("kernels.isa.avx2"),
+            want);
 }
 
 TEST(StreamingHistogramTest, ConcurrentRecordsMergeToExactCountAndSum) {

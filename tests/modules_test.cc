@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
+#include <vector>
 
 #include "nn/batchnorm.h"
 #include "nn/embedding.h"
@@ -368,6 +371,112 @@ TEST(OptimTest, ClipGradNormNoopBelowThreshold) {
   w.AccumulateGrad(Tensor::FromVector({1.0f}));
   ClipGradNorm({w}, 3.0f);
   EXPECT_FLOAT_EQ(w.grad()[0], 1.0f);
+}
+
+// ------------------------------------------------------------ no-grad mode
+
+bool SameBits(const Tensor& a, const Tensor& b) {
+  return a.SameShape(b) &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+bool TapeFree(const Var& v) {
+  return v.impl()->parents.empty() && !v.impl()->backward;
+}
+
+// BatchNorm (all four forwards, eval and training statistics) and the
+// embedding gathers: bit-identical values, nothing recorded. Running
+// statistics still update in training mode — no-grad is not eval mode.
+TEST(NoGradModulesTest, BatchNormAndGathersMatchGradModeAndRecordNothing) {
+  Rng rng(9);
+  Tensor xt(5, 4);
+  UniformInit(&xt, -1.0f, 1.0f, &rng);
+  const Var x = Var::Leaf(xt, /*requires_grad=*/true);
+  for (const bool training : {false, true}) {
+    BatchNorm1d grad_bn(4), free_bn(4);
+    for (int variant = 0; variant < 4; ++variant) {
+      auto run = [&](BatchNorm1d& bn) {
+        auto dg = std::make_shared<Tensor>(4);
+        auto db = std::make_shared<Tensor>(4);
+        switch (variant) {
+          case 0: return bn.Forward(x, training);
+          case 1: return bn.ForwardPopulation(x, training);
+          case 2: return bn.ForwardDeferred(x, training, dg, db);
+          default: return bn.ForwardPopulationDeferred(x, training, dg, db);
+        }
+      };
+      const Var recorded = run(grad_bn);
+      Var free;
+      {
+        NoGradScope no_grad;
+        free = run(free_bn);
+      }
+      EXPECT_TRUE(SameBits(recorded.value(), free.value()))
+          << "variant " << variant << " training " << training;
+      EXPECT_TRUE(TapeFree(free)) << "variant " << variant;
+      EXPECT_TRUE(SameBits(grad_bn.running_mean(), free_bn.running_mean()));
+      EXPECT_TRUE(SameBits(grad_bn.running_var(), free_bn.running_var()));
+    }
+  }
+
+  Embedding emb(10, 4, &rng);
+  const std::vector<int64_t> ids = {3, 1, 3, 9};
+  const Var g = emb.Gather(ids);
+  const Var r = emb.GatherRow(7);
+  NoGradScope no_grad;
+  const Var g_free = emb.Gather(ids);
+  const Var r_free = emb.GatherRow(7);
+  EXPECT_TRUE(SameBits(g.value(), g_free.value()));
+  EXPECT_TRUE(SameBits(r.value(), r_free.value()));
+  EXPECT_TRUE(TapeFree(g_free));  // no scatter hook either.
+  EXPECT_TRUE(TapeFree(r_free));
+}
+
+// A ragged, masked, shrinking pack: every sequence's readout is the same
+// bits in both modes, and the no-grad trace keeps no per-step state.
+TEST(NoGradModulesTest, ForwardPackedReadoutsMatchGradModeWithoutTrace) {
+  Rng rng(13);
+  // Blocks (rows, steps): {0,1} run 4 steps, {2} 3 steps, {3,4} 1 step.
+  const std::vector<int64_t> rows_at = {5, 3, 3, 2};
+  std::vector<Var> inputs;
+  std::vector<Tensor> masks;
+  for (const int64_t n : rows_at) {
+    Tensor x(n, 3);
+    UniformInit(&x, -1.0f, 1.0f, &rng);
+    inputs.push_back(Var::Leaf(std::move(x), /*requires_grad=*/true));
+    Tensor m = Tensor::Full(n, 1.0f);
+    if (n > 1) m[1] = 0.0f;  // a padded row inside the first block.
+    masks.push_back(std::move(m));
+  }
+  for (const int layers : {1, 2}) {
+    Rng init(21);
+    StackedLstm lstm(3, 4, layers, &init);
+    for (const bool masked : {false, true}) {
+      const std::vector<Tensor> m = masked ? masks : std::vector<Tensor>{};
+      const PackedLstmTrace recorded = lstm.ForwardPacked(inputs, m);
+      PackedLstmTrace free;
+      {
+        NoGradScope no_grad;
+        free = lstm.ForwardPacked(inputs, m);
+      }
+      EXPECT_TRUE(free.steps.empty());
+      EXPECT_TRUE(free.top_h.empty());
+      ASSERT_FALSE(recorded.top_h.empty());
+      struct Block {
+        size_t t_end;
+        int64_t row, rows;
+      };
+      for (const Block& b : {Block{3, 0, 2}, Block{2, 2, 1}, Block{0, 3, 2}}) {
+        const Var want = recorded.Readout(b.t_end, b.row, b.rows);
+        const Var got = free.Readout(b.t_end, b.row, b.rows);
+        EXPECT_TRUE(SameBits(want.value(), got.value()))
+            << "layers " << layers << " masked " << masked << " block at "
+            << b.row;
+        EXPECT_TRUE(TapeFree(got));
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include <fstream>
 #include <numeric>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -29,6 +30,7 @@
 #include "graph/generators/generators.h"
 #include "nn/quant.h"
 #include "serve/embedding_server.h"
+#include "util/metrics.h"
 #include "util/rng.h"
 #include "walk/temporal_walk.h"
 
@@ -147,6 +149,172 @@ TEST(InferenceEngineTest, RefreshIntoMatchesParallelFinalizeRows) {
   }
 }
 
+// ------------------------- packed no-grad inference vs per-node oracle
+
+/// The per-node oracle the packed path replaced: one grad-mode
+/// EhnaAggregator::Aggregate per node at its most recent interaction,
+/// drawing from `master` in node order when given (serial finalize) and
+/// from the node's own stream otherwise; isolated nodes get their
+/// L2-normalized raw row. Rows not in `nodes` stay zero.
+Tensor PerNodeOracle(const TemporalGraph& g, EhnaModel* model,
+                     std::span<const NodeId> nodes, Rng* master) {
+  const EhnaConfig& cfg = model->config();
+  Tensor out(g.num_nodes(), cfg.dim);
+  for (const NodeId v : nodes) {
+    float* dst = out.Row(v);
+    auto recent = g.MostRecentInteraction(v);
+    if (!recent.ok()) {
+      const float* src = model->embedding()->RowData(v);
+      double norm = 0.0;
+      for (int64_t j = 0; j < cfg.dim; ++j) {
+        norm += static_cast<double>(src[j]) * src[j];
+      }
+      const float inv =
+          norm > 1e-24 ? 1.0f / static_cast<float>(std::sqrt(norm)) : 0.0f;
+      for (int64_t j = 0; j < cfg.dim; ++j) dst[j] = src[j] * inv;
+      continue;
+    }
+    Rng stream = Rng::Stream(cfg.seed ^ kFinalizeStreamSalt, v);
+    const Var z = model->aggregator()->Aggregate(
+        v, recent.value(), /*training=*/false,
+        master != nullptr ? master : &stream);
+    std::memcpy(dst, z.value().data(),
+                static_cast<size_t>(cfg.dim) * sizeof(float));
+  }
+  model->embedding()->ClearGradients();
+  return out;
+}
+
+struct PackedCase {
+  EhnaVariant variant;
+  int lstm_layers;
+  bool population_batchnorm;
+  int threads;
+};
+
+std::string PackedCaseName(
+    const ::testing::TestParamInfo<PackedCase>& info) {
+  const PackedCase& c = info.param;
+  std::string v = EhnaVariantName(c.variant);
+  std::replace(v.begin(), v.end(), '-', '_');
+  return v + "_L" + std::to_string(c.lstm_layers) +
+         (c.population_batchnorm ? "_popbn" : "_batchbn") + "_" +
+         std::to_string(c.threads) + "T";
+}
+
+std::vector<PackedCase> PackedCases() {
+  std::vector<PackedCase> cases;
+  for (EhnaVariant v : {EhnaVariant::kFull, EhnaVariant::kNoAttention,
+                        EhnaVariant::kStaticWalk, EhnaVariant::kSingleLayer}) {
+    for (int layers : {1, 2}) {
+      for (bool pop : {false, true}) {
+        for (int threads : {1, 4}) cases.push_back({v, layers, pop, threads});
+      }
+    }
+  }
+  return cases;
+}
+
+class PackedInferenceTest : public ::testing::TestWithParam<PackedCase> {
+ protected:
+  void CheckRefreshAcrossChunkSizes(bool directed);
+
+  EhnaConfig Config() const {
+    EhnaConfig cfg = TinyConfig();
+    cfg.variant = GetParam().variant;
+    cfg.lstm_layers = GetParam().lstm_layers;
+    cfg.population_batchnorm = GetParam().population_batchnorm;
+    cfg.num_threads = GetParam().threads;
+    cfg.num_walks = 3;
+    cfg.walk_length = 4;
+    return cfg;
+  }
+
+  /// ~170 DBLP-like nodes (several chunks) plus three trailing isolated
+  /// nodes. Undirected walks always run full length (the edge just walked
+  /// is always a valid next step); directed ones stop at sinks, so packs
+  /// are ragged: plans of different lengths and masked rows inside blocks.
+  static TemporalGraph GraphWithIsolated(bool directed) {
+    auto g = MakePaperDataset(PaperDataset::kDblp, 0.1, 9);
+    EHNA_CHECK(g.ok());
+    auto out = TemporalGraph::FromEdges(
+        g.value().edges(), g.value().num_nodes() + 3, directed);
+    EHNA_CHECK(out.ok());
+    return std::move(out).value();
+  }
+};
+
+// The §IV.D final pass through the packed chunks: serial (1T) draws from
+// the master RNG in node order, 4T from per-node streams; both equal the
+// per-node oracle bitwise, and the serial path leaves the master RNG where
+// the per-node loop leaves it (the next checkpoint depends on that).
+TEST_P(PackedInferenceTest, FinalizeMatchesPerNodeOracle) {
+  for (const bool directed : {false, true}) {
+    const TemporalGraph g = GraphWithIsolated(directed);
+    const EhnaConfig cfg = Config();
+    EhnaModel model(&g, cfg);
+    model.Train();
+    Rng master = *model.mutable_rng();
+
+    InferenceEngine engine(&g, model.embedding(), model.aggregator(), cfg);
+    const Tensor got = engine.ComputeFinalEmbeddings(model.mutable_rng());
+    std::vector<NodeId> all(g.num_nodes());
+    std::iota(all.begin(), all.end(), NodeId{0});
+    const Tensor want = PerNodeOracle(g, &model, all,
+                                      cfg.num_threads == 1 ? &master : nullptr);
+    EXPECT_TRUE(SameBytes(got, want)) << "directed " << directed;
+    EXPECT_EQ(model.mutable_rng()->Next(), master.Next());
+  }
+}
+
+// RefreshInto over a compacted overlay holding stream-first nodes (ids the
+// trained table never had) and isolated nodes, at node counts that make one
+// chunk of one node, exact multiples of the chunk cap, and remainders.
+TEST_P(PackedInferenceTest, RefreshMatchesPerNodeOracleAcrossChunkSizes) {
+  for (const bool directed : {false, true}) {
+    CheckRefreshAcrossChunkSizes(directed);
+  }
+}
+
+void PackedInferenceTest::CheckRefreshAcrossChunkSizes(bool directed) {
+  const TemporalGraph base = GraphWithIsolated(directed);
+  const EhnaConfig cfg = Config();
+  EhnaModel model(&base, cfg);
+  model.Train();
+
+  DynamicTemporalGraph overlay(&base);
+  const NodeId n0 = base.num_nodes();
+  const Timestamp t = base.max_time();
+  for (const TemporalEdge& e :
+       {TemporalEdge{n0, 0, t + 1.0}, TemporalEdge{n0 + 1, n0, t + 1.0},
+        TemporalEdge{2, n0 + 2, t - 3.0}, TemporalEdge{1, 5, t + 2.0}}) {
+    ASSERT_TRUE(overlay.Ingest(e).ok());
+  }
+  ASSERT_TRUE(overlay.Compact().ok());
+  const TemporalGraph& g = overlay.current();
+  Rng grow(99);
+  model.embedding()->EnsureRows(g.num_nodes(), &grow);
+  InferenceEngine engine(&base, model.embedding(), model.aggregator(), cfg);
+  engine.RebindGraph(&g);
+
+  // Stream-first and isolated nodes lead, so every size includes them.
+  std::vector<NodeId> order = {n0, n0 + 1, n0 + 2, n0 - 1, n0 - 2, n0 - 3};
+  for (NodeId v = 0; v + 3 < n0; ++v) order.push_back(v);
+  ASSERT_GT(order.size(), 131u);
+  for (const size_t count : {size_t{1}, size_t{64}, size_t{128}, size_t{131},
+                             order.size()}) {
+    const std::span<const NodeId> nodes(order.data(), count);
+    Tensor got(g.num_nodes(), cfg.dim);
+    engine.RefreshInto(nodes, &got);
+    const Tensor want = PerNodeOracle(g, &model, nodes, nullptr);
+    EXPECT_TRUE(SameBytes(got, want))
+        << count << " nodes, directed " << directed;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Matrix, PackedInferenceTest,
+                         ::testing::ValuesIn(PackedCases()), PackedCaseName);
+
 // ------------------------------------------------- (b) overlay equivalence
 
 std::vector<TemporalEdge> RandomEdges(size_t count, NodeId num_nodes,
@@ -237,6 +405,42 @@ TEST(DynamicGraphTest, GrowsNodeSpaceAndValidatesEdges) {
   ASSERT_TRUE(overlay.Compact().ok());
   EXPECT_EQ(overlay.current().num_nodes(), 8u);
   EXPECT_TRUE(overlay.current().HasEdge(2, 7));
+}
+
+// Each Ingest rejection is InvalidArgument, leaves nothing pending, and
+// leaves the node space untouched.
+void ExpectIngestRejected(const TemporalEdge& edge, const std::string& what) {
+  auto base = TemporalGraph::FromEdges({{0, 1, 1.0}, {1, 2, 2.0}}, 3, false);
+  ASSERT_TRUE(base.ok());
+  DynamicTemporalGraph overlay(&base.value());
+  const Status st = overlay.Ingest(edge);
+  ASSERT_FALSE(st.ok()) << what;
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << what;
+  EXPECT_NE(st.message().find(what), std::string::npos) << st.message();
+  EXPECT_EQ(overlay.pending_edges(), 0u);
+  EXPECT_EQ(overlay.num_nodes(), 3u);
+  EXPECT_TRUE(overlay.Compact().ok());
+  EXPECT_EQ(overlay.current().num_edges(), 2u);
+}
+
+// `weight < 0.0f` is false for NaN, so the old sign check accepted it.
+TEST(DynamicGraphTest, IngestRejectsNonFiniteWeight) {
+  ExpectIngestRejected({0, 1, 3.0, std::nanf("")}, "weight");
+  ExpectIngestRejected({0, 1, 3.0, INFINITY}, "weight");
+}
+
+// A NaN timestamp breaks the time-sorted invariant Compact's merge needs.
+TEST(DynamicGraphTest, IngestRejectsNonFiniteTimestamp) {
+  ExpectIngestRejected({0, 1, std::nan(""), 1.0f}, "timestamp");
+  ExpectIngestRejected({0, 1, INFINITY, 1.0f}, "timestamp");
+  ExpectIngestRejected({0, 1, -INFINITY, 1.0f}, "timestamp");
+}
+
+// dst = 0xFFFFFFFF used to wrap max(src, dst) + 1 to 0, so the caches never
+// grew and EnsureCacheSeeded read past their end.
+TEST(DynamicGraphTest, IngestRejectsReservedInvalidNodeId) {
+  ExpectIngestRejected({0, kInvalidNode, 3.0, 1.0f}, "reserved");
+  ExpectIngestRejected({kInvalidNode, 0, 3.0, 1.0f}, "reserved");
 }
 
 TEST(DynamicGraphTest, CandidateCachesAreBoundedAndSeeded) {
@@ -509,6 +713,63 @@ TEST(EmbeddingServerTest, RefreshedRowsMatchOfflineRecompute) {
   EXPECT_GT(server.stats().refreshed_nodes,
             static_cast<uint64_t>(touched.size()));
   EXPECT_LT(stale, static_cast<size_t>(n));
+}
+
+// The refresh phase scopes are observation only: a server run with
+// metrics on serves the same bytes (fp32 and int8 mirror) as one with
+// metrics off, and with metrics on every refresh records each nested
+// phase once, inside its parent.
+TEST(EmbeddingServerTest, RefreshPhasesAreBitwiseNeutral) {
+  ServerFixture fx("phases");
+  ServeOptions opts = fx.Options();
+  opts.precision = ServePrecision::kInt8;
+  opts.refresh_batch = 8;
+  const NodeId n = fx.graph.num_nodes();
+  std::vector<TemporalEdge> stream;
+  Rng rng(5);
+  while (stream.size() < 40) {
+    const NodeId u = static_cast<NodeId>(rng.UniformInt(uint64_t{n + 4}));
+    const NodeId v = static_cast<NodeId>(rng.UniformInt(uint64_t{n}));
+    if (u == v) continue;
+    stream.push_back({u, v, fx.graph.max_time() - 2.0 + stream.size() % 7});
+  }
+  auto run = [&](bool metrics) {
+    MetricsRegistry::Global().Reset();
+    MetricsRegistry::SetEnabled(metrics);
+    auto loaded = EmbeddingServer::Load(fx.ckpt, fx.graph, opts);
+    EHNA_CHECK(loaded.ok());
+    for (const TemporalEdge& e : stream) {
+      EHNA_CHECK(loaded.value()->Ingest(e).ok());
+    }
+    EHNA_CHECK(loaded.value()->Refresh().ok());
+    MetricsRegistry::SetEnabled(true);
+    return std::make_pair(loaded.value()->ServingEmbeddings(),
+                          loaded.value()->QuantizedServingSnapshot());
+  };
+  const auto off = run(false);
+  const auto on = run(true);
+  EXPECT_TRUE(SameBytes(on.first, off.first));
+  ASSERT_EQ(on.second.bytes(), off.second.bytes());
+  for (int64_t r = 0; r < on.second.rows(); ++r) {
+    ASSERT_EQ(0, std::memcmp(on.second.RowI8(r), off.second.RowI8(r),
+                             static_cast<size_t>(on.second.dim())))
+        << "mirror row " << r;
+  }
+
+  const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
+  const HistogramData* refresh = snap.Histogram("serve.phase.refresh");
+  ASSERT_NE(refresh, nullptr);
+  EXPECT_EQ(refresh->count(), 5u);  // 40 edges / 8 per auto-refresh.
+  uint64_t nested_ns = 0;
+  for (const char* phase :
+       {"serve.phase.compact", "serve.phase.reaggregate",
+        "serve.phase.requantize", "serve.phase.index_update"}) {
+    const HistogramData* h = snap.Histogram(phase);
+    ASSERT_NE(h, nullptr) << phase;
+    EXPECT_EQ(h->count(), refresh->count()) << phase;
+    nested_ns += h->sum();
+  }
+  EXPECT_LE(nested_ns, refresh->sum());
 }
 
 TEST(EmbeddingServerTest, NewNodesBecomeServableAfterRefresh) {
