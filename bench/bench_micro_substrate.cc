@@ -1,9 +1,11 @@
 // Micro-benchmarks of the performance-critical substrate components: walk
 // sampling throughput, alias-table sampling, tensor matmul kernels, and
-// the per-edge cost of EHNA's autograd aggregation. These are classic
+// the cost of EHNA's packed autograd aggregation. These are classic
 // repeated-timing google-benchmark cases (unlike the table/figure
 // reproduction binaries, which run one full experiment per invocation).
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "core/aggregator.h"
 #include "graph/generators/generators.h"
@@ -99,24 +101,38 @@ void BM_AutogradBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_AutogradBackward);
 
+/// The production aggregation path: PlanAggregation for each of
+/// range(1) random targets, then one training-mode AggregateBatch pack
+/// over all of them (the tape a trainer shard builds). Args: {dim, plans}.
 void BM_EhnaAggregate(benchmark::State& state) {
   const TemporalGraph& g = BenchGraph();
   EhnaConfig cfg;
   cfg.dim = static_cast<int64_t>(state.range(0));
   cfg.num_walks = 4;
   cfg.walk_length = 5;
+  const size_t num_plans = static_cast<size_t>(state.range(1));
   Rng rng(6);
   Embedding emb(g.num_nodes(), cfg.dim, &rng);
   EhnaAggregator agg(&g, &emb, cfg, &rng);
   const Timestamp ref = g.max_time() + 1.0;
+  std::vector<AggregationPlan> plans(num_plans);
   for (auto _ : state) {
-    const NodeId v = static_cast<NodeId>(rng.UniformInt(g.num_nodes()));
-    benchmark::DoNotOptimize(agg.Aggregate(v, ref, /*training=*/true, &rng));
+    for (AggregationPlan& plan : plans) {
+      const NodeId v = static_cast<NodeId>(rng.UniformInt(g.num_nodes()));
+      agg.PlanAggregation(v, ref, &rng, &plan);
+    }
+    benchmark::DoNotOptimize(agg.AggregateBatch(plans, /*training=*/true));
     emb.ClearGradients();
   }
-  state.SetItemsProcessed(state.iterations());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(num_plans));
 }
-BENCHMARK(BM_EhnaAggregate)->Arg(16)->Arg(64);
+BENCHMARK(BM_EhnaAggregate)
+    ->ArgNames({"dim", "plans"})
+    ->Args({16, 1})
+    ->Args({16, 64})
+    ->Args({64, 1})
+    ->Args({64, 64});
 
 }  // namespace
 

@@ -45,9 +45,13 @@ class EhnaAggregator {
   EhnaAggregator(const TemporalGraph* graph, Embedding* embedding,
                  const EhnaConfig& config, Rng* rng);
 
-  /// Computes the aggregated embedding z_x (rank-1 [dim]) for `target`,
-  /// analyzing history strictly before-or-at `ref_time`. `training` selects
-  /// BatchNorm statistics mode.
+  /// The reference forward, kept for tests: computes the aggregated
+  /// embedding z_x (rank-1 [dim]) for `target` one call at a time, with the
+  /// per-call NodeLevel / WalkLevel / SingleLevel / FallbackNeighborhood
+  /// stack, analyzing history strictly before-or-at `ref_time`. `training`
+  /// selects BatchNorm statistics mode. No production path runs it; training
+  /// and inference run PlanAggregation + AggregateBatch, which tests compare
+  /// against this (bitwise z, gradients to a relative 1e-4).
   Var Aggregate(NodeId target, Timestamp ref_time, bool training, Rng* rng);
 
   /// Captures the walk/fallback sampling for one aggregation, consuming

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 #include <thread>
+#include <utility>
 
 #include "core/checkpoint.h"
 #include "core/inference.h"
@@ -45,7 +47,7 @@ struct EhnaModel::Worker {
   /// batch's forward/backward, Reset by the main thread after the shard's
   /// gradients (which live in it) have been reduced into the master.
   TensorArena arena;
-  double loss_sum = 0.0;
+  /// Edges in this replica's last shard (weights its BatchNorm statistics).
   size_t edges = 0;
 
   Worker(const TemporalGraph* graph, Embedding* embedding,
@@ -58,24 +60,115 @@ struct EhnaModel::Worker {
   }
 };
 
-/// One pipeline slot (DESIGN.md §11): the producer fills `shard_plans` /
-/// `shard_edge_base` (heap-backed captures of every RNG draw the batch
-/// needs), the consumer then runs the batch's tape inside `arena`. Serial
-/// training uses a single shard; data-parallel training pre-partitions the
-/// batch with exactly ParallelForShards' decomposition so per-shard
-/// gradient reduction order is unchanged. The bounded queues' mutexes are
-/// the happens-before edges that hand a slot (and its arena) between the
-/// producer and consumer threads; Reset() runs on the consumer after the
-/// optimizer step, before the slot is recycled.
+/// One batch: edge positions [begin, begin + count) of the epoch order,
+/// split into `shards` contiguous shards with exactly ParallelForShards'
+/// decomposition, plus each shard's plans once PlanShard has filled them
+/// (heap-backed captures of every RNG draw the shard's aggregations need).
 struct EhnaModel::BatchPack {
   size_t begin = 0;
   size_t count = 0;
   size_t shards = 0;
   std::vector<std::vector<AggregationPlan>> shard_plans;
   std::vector<std::vector<size_t>> shard_edge_base;
-  /// Tape memory for this pack's forward/backward (serial consumer only;
-  /// the data-parallel consumer keeps using the worker replica arenas).
-  TensorArena arena;
+};
+
+/// Where an epoch's packs come from (DESIGN.md §11). With pipeline_depth =
+/// 0, Next() only sizes the next batch and its shards are planned where
+/// they compute. With pipeline_depth = N >= 1, a producer task on the
+/// pipeline thread sizes and plans packs up to N ahead behind a bounded
+/// queue, recycling N + 1 packs, and Next() pops finished ones. The
+/// queues' mutexes are the happens-before edges that hand a pack between
+/// the two threads. Either way the consumer sees the same packs in the
+/// same order, and planning draws the same RNG values.
+class EhnaModel::BatchSource {
+ public:
+  BatchSource(EhnaModel* model, const std::vector<size_t>& order)
+      : model_(model), order_(order) {
+    const size_t depth = static_cast<size_t>(model->config_.pipeline_depth);
+    model->EnsurePacks(depth + 1);
+    if (depth == 0) return;
+    free_.emplace(depth + 1);
+    ready_.emplace(depth, TrainPipelineQueueMetrics());
+    for (size_t s = 0; s <= depth; ++s) free_->Push(model->packs_[s].get());
+    producer_ = model->EnsurePipelinePool();
+    producer_->Submit([this] {
+      try {
+        Produce();
+      } catch (...) {
+        ready_->Close();  // wake the consumer; Finish() rethrows.
+        throw;
+      }
+      ready_->Close();
+    });
+  }
+
+  // The producer holds `this`.
+  BatchSource(const BatchSource&) = delete;
+  BatchSource& operator=(const BatchSource&) = delete;
+
+  /// Abandons an unfinished prefetch (the consumer threw): closes both
+  /// queues so the producer cannot block, then joins it without throwing.
+  ~BatchSource() {
+    if (producer_ == nullptr) return;
+    ready_->Close();
+    free_->Close();
+    producer_->CollectError();
+  }
+
+  bool prefetching() const { return producer_ != nullptr; }
+
+  /// The next pack, or nullptr once the epoch is drained. Recycles the
+  /// previously returned pack.
+  BatchPack* Next() {
+    if (producer_ == nullptr) {
+      BatchPack* pack = model_->packs_[0].get();
+      if (next_ >= order_.size()) return nullptr;
+      model_->StartPack(next_, order_.size(), pack);
+      next_ += pack->count;
+      return pack;
+    }
+    if (current_ != nullptr) free_->Push(current_);
+    EHNA_TRACE_PHASE("train.phase.pipeline_wait");
+    std::optional<BatchPack*> popped = ready_->Pop();
+    current_ = popped.value_or(nullptr);
+    return current_;
+  }
+
+  /// Joins the producer once the epoch is drained, surfacing its error.
+  void Finish() {
+    if (producer_ == nullptr) return;
+    free_->Close();
+    std::exchange(producer_, nullptr)->Wait();
+  }
+
+ private:
+  void Produce() {
+    static Counter* const packs_counter =
+        MetricsRegistry::Global().GetCounter("pipeline.packs");
+    for (size_t i = 0; i < order_.size();) {
+      std::optional<BatchPack*> slot = free_->Pop();
+      if (!slot.has_value()) return;  // the consumer abandoned the epoch.
+      BatchPack* pack = *slot;
+      model_->StartPack(i, order_.size(), pack);
+      i += pack->count;
+      {
+        EHNA_TRACE_PHASE("train.phase.pipeline_plan");
+        for (size_t s = 0; s < pack->shards; ++s) {
+          model_->PlanShard(order_, s, pack);
+        }
+      }
+      packs_counter->Add(1);
+      if (!ready_->Push(pack)) return;
+    }
+  }
+
+  EhnaModel* model_;
+  const std::vector<size_t>& order_;
+  size_t next_ = 0;  // synchronous source: the next edge position.
+  ThreadPool* producer_ = nullptr;
+  std::optional<BoundedQueue<BatchPack*>> free_;
+  std::optional<BoundedQueue<BatchPack*>> ready_;
+  BatchPack* current_ = nullptr;
 };
 
 EhnaModel::EhnaModel(const TemporalGraph* graph, const EhnaConfig& config)
@@ -88,6 +181,8 @@ EhnaModel::EhnaModel(const TemporalGraph* graph, const EhnaConfig& config)
       optimizer_(aggregator_.Parameters(), config.learning_rate) {
   EHNA_CHECK_GT(graph->num_nodes(), 0u);
   EHNA_CHECK_GT(graph->num_edges(), 0u);
+  // Eq. 6/7 is a sum over negatives: with none, every batch loss is empty.
+  EHNA_CHECK_GE(config.num_negatives, 1);
 }
 
 EhnaModel::~EhnaModel() = default;
@@ -114,11 +209,6 @@ void EhnaModel::EnsureWorkers() {
   }
 }
 
-bool EhnaModel::PipelineEnabled() const {
-  return config_.pipeline_depth > 0 && config_.batched_aggregation &&
-         config_.num_negatives > 0;
-}
-
 ThreadPool* EhnaModel::EnsurePipelinePool() {
   if (pipeline_pool_ == nullptr) {
     pipeline_pool_ = std::make_unique<ThreadPool>(1);
@@ -126,9 +216,9 @@ ThreadPool* EhnaModel::EnsurePipelinePool() {
   return pipeline_pool_.get();
 }
 
-void EhnaModel::EnsurePipelineSlots(size_t num_slots) {
-  while (pipeline_slots_.size() < num_slots) {
-    pipeline_slots_.push_back(std::make_unique<BatchPack>());
+void EhnaModel::EnsurePacks(size_t num_packs) {
+  while (packs_.size() < num_packs) {
+    packs_.push_back(std::make_unique<BatchPack>());
   }
 }
 
@@ -185,48 +275,25 @@ void EhnaModel::MergeWorkerBatchNormStats(size_t num_used) {
 }
 
 Var EhnaModel::EdgeLoss(const TemporalEdge& edge, bool training) {
-  return EdgeLossOn(&aggregator_, edge, training, &rng_);
+  std::vector<AggregationPlan> plans;
+  PlanEdge(edge, &rng_, &plans);
+  return EdgeLossFromZ(aggregator_.AggregateBatch(plans, training), 0);
 }
 
-Var EhnaModel::EdgeLossOn(EhnaAggregator* aggregator, const TemporalEdge& edge,
-                          bool training, Rng* rng) {
-  const Timestamp t = edge.time;
-  Var zx = aggregator->Aggregate(edge.src, t, training, rng);
-  Var zy = aggregator->Aggregate(edge.dst, t, training, rng);
-  Var d_pos = ag::SumSquares(ag::Sub(zx, zy));
-
-  const NodeId exclude[] = {edge.src, edge.dst};
-  std::vector<Var> terms;
-  terms.reserve(static_cast<size_t>(config_.num_negatives) *
-                (config_.bidirectional_negatives ? 2 : 1));
-  auto add_negative_terms = [&](const Var& anchor) {
-    for (int q = 0; q < config_.num_negatives; ++q) {
-      const NodeId v = noise_.SampleExcluding(exclude, rng);
-      Var zv = aggregator->Aggregate(v, t, training, rng);
-      Var d_neg = ag::SumSquares(ag::Sub(anchor, zv));
-      terms.push_back(
-          ag::Hinge(ag::AddScalar(ag::Sub(d_pos, d_neg), config_.margin)));
-    }
-  };
-  add_negative_terms(zx);                                   // Eq. 6.
-  if (config_.bidirectional_negatives) add_negative_terms(zy);  // Eq. 7.
-  return terms.empty() ? Var() : ag::SumN(terms);
-}
-
-void EhnaModel::PlanEdge(EhnaAggregator* aggregator, const TemporalEdge& edge,
-                         Rng* rng, std::vector<AggregationPlan>* plans) {
+void EhnaModel::PlanEdge(const TemporalEdge& edge, Rng* rng,
+                         std::vector<AggregationPlan>* plans) {
   const Timestamp t = edge.time;
   plans->emplace_back();
-  aggregator->PlanAggregation(edge.src, t, rng, &plans->back());
+  aggregator_.PlanAggregation(edge.src, t, rng, &plans->back());
   plans->emplace_back();
-  aggregator->PlanAggregation(edge.dst, t, rng, &plans->back());
+  aggregator_.PlanAggregation(edge.dst, t, rng, &plans->back());
   const NodeId exclude[] = {edge.src, edge.dst};
   const int rounds = config_.bidirectional_negatives ? 2 : 1;
   for (int r = 0; r < rounds; ++r) {
     for (int q = 0; q < config_.num_negatives; ++q) {
       const NodeId v = noise_.SampleExcluding(exclude, rng);
       plans->emplace_back();
-      aggregator->PlanAggregation(v, t, rng, &plans->back());
+      aggregator_.PlanAggregation(v, t, rng, &plans->back());
     }
   }
 }
@@ -249,7 +316,129 @@ Var EhnaModel::EdgeLossFromZ(const std::vector<Var>& z, size_t base) {
   };
   add_negative_terms(zx);                                       // Eq. 6.
   if (config_.bidirectional_negatives) add_negative_terms(zy);  // Eq. 7.
-  return terms.empty() ? Var() : ag::SumN(terms);
+  return ag::SumN(terms);
+}
+
+std::vector<size_t> EhnaModel::ShuffledEpochOrder() {
+  std::vector<size_t> order(graph_->edges().size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  rng_.Shuffle(&order);
+  if (config_.max_edges_per_epoch > 0 &&
+      order.size() > config_.max_edges_per_epoch) {
+    order.resize(config_.max_edges_per_epoch);
+  }
+  return order;
+}
+
+void EhnaModel::StartPack(size_t begin, size_t epoch_edges,
+                          BatchPack* pack) const {
+  const size_t batch = static_cast<size_t>(std::max(1, config_.batch_edges));
+  pack->begin = begin;
+  pack->count = std::min(batch, epoch_edges - begin);
+  pack->shards = ThreadPool::ResolveShards(
+      pack->count, static_cast<size_t>(num_threads()));
+  pack->shard_plans.resize(pack->shards);
+  pack->shard_edge_base.resize(pack->shards);
+}
+
+void EhnaModel::PlanShard(const std::vector<size_t>& order, size_t shard,
+                          BatchPack* pack) {
+  const auto& edges = graph_->edges();
+  std::vector<AggregationPlan>& plans = pack->shard_plans[shard];
+  std::vector<size_t>& edge_base = pack->shard_edge_base[shard];
+  plans.clear();
+  edge_base.clear();
+  const auto [a, b] = ThreadPool::ShardBounds(pack->count, pack->shards, shard);
+  for (size_t j = a; j < b; ++j) {
+    const size_t pos = pack->begin + j;
+    edge_base.push_back(plans.size());
+    if (num_threads() == 1) {
+      PlanEdge(edges[order[pos]], &rng_, &plans);
+    } else {
+      // Streams are keyed on (seed, epoch, edge position), so where and in
+      // which order shards are planned cannot change a draw.
+      Rng edge_rng = Rng::Stream(config_.seed ^ kTrainStreamSalt,
+                                 TrainStream(epoch_index_, pos));
+      PlanEdge(edges[order[pos]], &edge_rng, &plans);
+    }
+  }
+}
+
+double EhnaModel::ComputeShard(EhnaAggregator* aggregator,
+                               const BatchPack& pack, size_t shard) {
+  // The shard's aggregations run on one packed tape with a single backward
+  // pass; the 1/count scale makes the shards' summed gradient the batch
+  // mean's.
+  const std::vector<Var> z =
+      aggregator->AggregateBatch(pack.shard_plans[shard], /*training=*/true);
+  std::vector<Var> losses;
+  losses.reserve(pack.shard_edge_base[shard].size());
+  double loss_sum = 0.0;
+  for (size_t base : pack.shard_edge_base[shard]) {
+    losses.push_back(EdgeLossFromZ(z, base));
+    loss_sum += losses.back().value()[0];
+  }
+  Backward(ag::ScalarMul(ag::SumN(losses),
+                         1.0f / static_cast<float>(pack.count)));
+  return loss_sum;
+}
+
+double EhnaModel::TrainPack(const std::vector<size_t>& order, BatchPack* pack,
+                            bool planned) {
+  // One thread computes on the master aggregator; N threads compute each
+  // shard on its worker replica, synced from the master first.
+  const bool replicas = num_threads() > 1;
+  for (size_t s = 0; replicas && s < pack->shards; ++s) {
+    SyncWorkerFromMaster(workers_[s].get());
+  }
+  std::vector<double> shard_loss(pack->shards);
+  {
+    EHNA_TRACE_PHASE("train.phase.forward_backward");
+    auto run_shard = [&](size_t s, size_t a, size_t b) {
+      if (!planned) PlanShard(order, s, pack);
+      // The shard's whole tape — every forward value, stashed intermediate
+      // and backward gradient — bump-allocates from its arena. Long-lived
+      // state (parameters, Adam moments, BN running stats, the sparse
+      // embedding accumulator) stays heap-backed; see DESIGN.md §9.
+      Worker* worker = replicas ? workers_[s].get() : nullptr;
+      TensorArena::Scope tape_scope(replicas ? &worker->arena : &arena_);
+      shard_loss[s] = ComputeShard(
+          replicas ? &worker->aggregator : &aggregator_, *pack, s);
+      if (replicas) worker->edges = b - a;
+    };
+    if (replicas) {
+      pool_->ParallelForShards(pack->count, pack->shards, run_shard);
+    } else {
+      run_shard(0, 0, pack->count);
+    }
+  }
+
+  double loss_sum = 0.0;
+  for (double l : shard_loss) loss_sum += l;
+  if (replicas) {
+    // Deterministic reduction: workers merge in shard order, so the result
+    // depends only on (seed, num_threads), not on scheduling.
+    EHNA_TRACE_PHASE("train.phase.grad_reduce");
+    for (size_t s = 0; s < pack->shards; ++s) {
+      ReduceWorkerGrads(workers_[s].get());
+    }
+    MergeWorkerBatchNormStats(pack->shards);
+    // Replica gradients and sinks have been drained into the master (all
+    // heap-backed); the worker tapes are dead.
+    for (size_t s = 0; s < pack->shards; ++s) workers_[s]->arena.Reset();
+  }
+
+  {
+    EHNA_TRACE_PHASE("train.phase.optimizer_step");
+    ClipGradNorm(optimizer_.params(), config_.grad_clip);
+    optimizer_.Step();
+    optimizer_.ZeroGrad();
+    embedding_.ApplyAdam(config_.learning_rate *
+                         config_.embedding_lr_multiplier);
+  }
+  // Gradients were consumed by the step above; the master tape is dead.
+  if (!replicas) arena_.Reset();
+  return loss_sum;
 }
 
 EhnaModel::EpochStats EhnaModel::TrainEpoch() {
@@ -272,13 +461,23 @@ EhnaModel::EpochStats EhnaModel::TrainEpoch() {
       MetricsRegistry::Global().GetHistogram("train.phase.epoch");
 
   const uint64_t walks_before = walks_counter->Total();
-  const bool async = PipelineEnabled();
-  EpochStats stats =
-      num_threads() > 1
-          ? (async ? TrainEpochParallelAsync() : TrainEpochParallel())
-          : (async ? TrainEpochSerialAsync() : TrainEpochSerial());
+  Timer timer;
+  if (num_threads() > 1) EnsureWorkers();
+  const std::vector<size_t> order = ShuffledEpochOrder();
+  double loss_sum = 0.0;
+  {
+    BatchSource source(this, order);
+    while (BatchPack* pack = source.Next()) {
+      loss_sum += TrainPack(order, pack, source.prefetching());
+    }
+    source.Finish();
+  }
   ++epoch_index_;
 
+  EpochStats stats;
+  stats.edges = order.size();
+  stats.avg_loss = order.empty() ? 0.0 : loss_sum / order.size();
+  stats.seconds = timer.ElapsedSeconds();
   epochs_total->Add(1);
   edges_total->Add(stats.edges);
   loss_gauge->Set(stats.avg_loss);
@@ -289,493 +488,6 @@ EhnaModel::EpochStats EhnaModel::TrainEpoch() {
         static_cast<double>(walks_counter->Total() - walks_before) /
         stats.seconds);
   }
-  return stats;
-}
-
-std::vector<size_t> EhnaModel::ShuffledEpochOrder() {
-  std::vector<size_t> order(graph_->edges().size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  rng_.Shuffle(&order);
-  if (config_.max_edges_per_epoch > 0 &&
-      order.size() > config_.max_edges_per_epoch) {
-    order.resize(config_.max_edges_per_epoch);
-  }
-  return order;
-}
-
-EhnaModel::EpochStats EhnaModel::TrainEpochSerial() {
-  Timer timer;
-  const auto& edges = graph_->edges();
-  const std::vector<size_t> order = ShuffledEpochOrder();
-
-  EpochStats stats;
-  double loss_sum = 0.0;
-  const int batch = std::max(1, config_.batch_edges);
-  size_t i = 0;
-  while (i < order.size()) {
-    bool batch_empty = true;
-    {
-      // The whole batch tape — every forward value, stashed intermediate,
-      // and backward gradient — bump-allocates from arena_. Long-lived
-      // state (parameters, Adam moments, BN running stats, the sparse
-      // embedding accumulator) stays heap-backed; see DESIGN.md §9.
-      EHNA_TRACE_PHASE("train.phase.forward_backward");
-      TensorArena::Scope tape_scope(&arena_);
-      std::vector<Var> losses;
-      losses.reserve(batch);
-      if (config_.batched_aggregation) {
-        // Plan every aggregation the batch needs up front (consuming the
-        // master RNG in exactly the per-edge order), run them all through
-        // one packed tape, then assemble each edge's hinge terms from its
-        // z slice.
-        std::vector<AggregationPlan> plans;
-        std::vector<size_t> edge_base;
-        edge_base.reserve(batch);
-        for (int b = 0; b < batch && i < order.size(); ++i, ++b) {
-          edge_base.push_back(plans.size());
-          PlanEdge(&aggregator_, edges[order[i]], &rng_, &plans);
-        }
-        if (!plans.empty()) {
-          const std::vector<Var> z =
-              aggregator_.AggregateBatch(plans, /*training=*/true);
-          for (size_t base : edge_base) {
-            Var loss = EdgeLossFromZ(z, base);
-            if (loss.defined()) losses.push_back(loss);
-          }
-        }
-      } else {
-        // Reference mode: identical machinery, one pack per edge. Losses
-        // and gradients are bitwise identical to the batched mode by
-        // construction (DESIGN.md §10).
-        for (int b = 0; b < batch && i < order.size(); ++i, ++b) {
-          std::vector<AggregationPlan> plans;
-          PlanEdge(&aggregator_, edges[order[i]], &rng_, &plans);
-          const std::vector<Var> z =
-              aggregator_.AggregateBatch(plans, /*training=*/true);
-          Var loss = EdgeLossFromZ(z, 0);
-          if (loss.defined()) losses.push_back(loss);
-        }
-      }
-      if (!losses.empty()) {
-        batch_empty = false;
-        const auto count = static_cast<float>(losses.size());
-        Var mean_loss = ag::ScalarMul(ag::SumN(losses), 1.0f / count);
-        loss_sum += mean_loss.value()[0] * count;
-        Backward(mean_loss);
-      }
-    }
-    if (batch_empty) break;
-
-    {
-      EHNA_TRACE_PHASE("train.phase.optimizer_step");
-      ClipGradNorm(optimizer_.params(), config_.grad_clip);
-      optimizer_.Step();
-      optimizer_.ZeroGrad();
-      embedding_.ApplyAdam(config_.learning_rate *
-                           config_.embedding_lr_multiplier);
-    }
-    // Gradients were consumed by the step above; the tape is dead.
-    arena_.Reset();
-  }
-
-  stats.edges = order.size();
-  stats.avg_loss = order.empty() ? 0.0 : loss_sum / order.size();
-  stats.seconds = timer.ElapsedSeconds();
-  return stats;
-}
-
-EhnaModel::EpochStats EhnaModel::TrainEpochParallel() {
-  Timer timer;
-  EnsureWorkers();
-  const auto& edges = graph_->edges();
-  const std::vector<size_t> order = ShuffledEpochOrder();
-
-  EpochStats stats;
-  double loss_sum = 0.0;
-  const size_t batch = static_cast<size_t>(std::max(1, config_.batch_edges));
-  size_t i = 0;
-  while (i < order.size()) {
-    const size_t begin = i;
-    const size_t count = std::min(batch, order.size() - begin);
-    i = begin + count;
-
-    const size_t used = std::min(workers_.size(), count);
-    for (size_t w = 0; w < used; ++w) SyncWorkerFromMaster(workers_[w].get());
-
-    // Each shard runs its edges sequentially on its own replica tape; the
-    // 1/count scale makes the reduced gradient equal the serial batch-mean
-    // gradient.
-    const float inv_count = 1.0f / static_cast<float>(count);
-    {
-      EHNA_TRACE_PHASE("train.phase.forward_backward");
-      pool_->ParallelForShards(
-          count, used, [&](size_t shard, size_t a, size_t b) {
-            Worker& worker = *workers_[shard];
-            // The shard's tapes (and its replica parameter gradients, which
-            // accumulate across the shard's edges) live in the worker's
-            // arena; it is Reset by the main thread after reduction.
-            TensorArena::Scope tape_scope(&worker.arena);
-            worker.loss_sum = 0.0;
-            worker.edges = 0;
-            // Each edge keeps its own RNG stream (planning consumes it in
-            // the legacy per-edge order), but the shard's aggregations run
-            // on one packed tape with a single backward pass.
-            std::vector<AggregationPlan> plans;
-            std::vector<size_t> edge_base;
-            edge_base.reserve(b - a);
-            if (config_.batched_aggregation) {
-              for (size_t j = a; j < b; ++j) {
-                const size_t pos = begin + j;
-                Rng edge_rng = Rng::Stream(config_.seed ^ kTrainStreamSalt,
-                                           TrainStream(epoch_index_, pos));
-                edge_base.push_back(plans.size());
-                PlanEdge(&worker.aggregator, edges[order[pos]], &edge_rng,
-                         &plans);
-              }
-              std::vector<Var> shard_losses;
-              shard_losses.reserve(b - a);
-              if (!plans.empty()) {
-                const std::vector<Var> z = worker.aggregator.AggregateBatch(
-                    plans, /*training=*/true);
-                for (size_t base : edge_base) {
-                  Var loss = EdgeLossFromZ(z, base);
-                  if (loss.defined()) {
-                    worker.loss_sum += loss.value()[0];
-                    shard_losses.push_back(loss);
-                  }
-                  ++worker.edges;
-                }
-              }
-              if (!shard_losses.empty()) {
-                Backward(ag::ScalarMul(ag::SumN(shard_losses), inv_count));
-              }
-            } else {
-              // Reference mode: one pack per edge, same shard-level
-              // backward structure so the two modes stay bitwise equal.
-              std::vector<Var> shard_losses;
-              shard_losses.reserve(b - a);
-              for (size_t j = a; j < b; ++j) {
-                const size_t pos = begin + j;
-                Rng edge_rng = Rng::Stream(config_.seed ^ kTrainStreamSalt,
-                                           TrainStream(epoch_index_, pos));
-                std::vector<AggregationPlan> edge_plans;
-                PlanEdge(&worker.aggregator, edges[order[pos]], &edge_rng,
-                         &edge_plans);
-                const std::vector<Var> z = worker.aggregator.AggregateBatch(
-                    edge_plans, /*training=*/true);
-                Var loss = EdgeLossFromZ(z, 0);
-                if (loss.defined()) {
-                  worker.loss_sum += loss.value()[0];
-                  shard_losses.push_back(loss);
-                }
-                ++worker.edges;
-              }
-              if (!shard_losses.empty()) {
-                Backward(ag::ScalarMul(ag::SumN(shard_losses), inv_count));
-              }
-            }
-          });
-    }
-
-    {
-      // Deterministic reduction: workers merge in shard order, so the result
-      // depends only on (seed, num_threads), not on scheduling.
-      EHNA_TRACE_PHASE("train.phase.grad_reduce");
-      for (size_t w = 0; w < used; ++w) {
-        loss_sum += workers_[w]->loss_sum;
-        ReduceWorkerGrads(workers_[w].get());
-      }
-      MergeWorkerBatchNormStats(used);
-      // Replica gradients and sinks have been drained into the master (all
-      // heap-backed); the worker tapes are dead.
-      for (size_t w = 0; w < used; ++w) workers_[w]->arena.Reset();
-    }
-
-    {
-      EHNA_TRACE_PHASE("train.phase.optimizer_step");
-      ClipGradNorm(optimizer_.params(), config_.grad_clip);
-      optimizer_.Step();
-      optimizer_.ZeroGrad();
-      embedding_.ApplyAdam(config_.learning_rate *
-                           config_.embedding_lr_multiplier);
-    }
-  }
-
-  stats.edges = order.size();
-  stats.avg_loss = order.empty() ? 0.0 : loss_sum / order.size();
-  stats.seconds = timer.ElapsedSeconds();
-  return stats;
-}
-
-/// The async pipeline (DESIGN.md §11), serial consumer. One producer task
-/// on the dedicated pipeline thread walks the epoch's edge order and
-/// captures each batch's plans — consuming the master RNG in exactly the
-/// synchronous loop's order — into recycled BatchPack slots behind a
-/// bounded queue; this (consumer) thread pops packs and runs
-/// forward/backward/optimizer, which consumes no RNG. Determinism argument:
-/// the RNG draw sequence is a pure function of the edge order, the plan
-/// pack fully determines the tape, and AggregateBatch's deferred replay
-/// makes gradients pack-independent — so checkpoints are byte-identical to
-/// pipeline_depth = 0.
-EhnaModel::EpochStats EhnaModel::TrainEpochSerialAsync() {
-  Timer timer;
-  const auto& edges = graph_->edges();
-  const std::vector<size_t> order = ShuffledEpochOrder();
-
-  static Counter* const packs_counter =
-      MetricsRegistry::Global().GetCounter("pipeline.packs");
-
-  EpochStats stats;
-  double loss_sum = 0.0;
-  const size_t batch = static_cast<size_t>(std::max(1, config_.batch_edges));
-  const size_t depth = static_cast<size_t>(config_.pipeline_depth);
-  const size_t num_slots = depth + 1;  // one in flight + `depth` queued.
-  EnsurePipelineSlots(num_slots);
-  BoundedQueue<BatchPack*> free_packs(num_slots);
-  BoundedQueue<BatchPack*> ready_packs(depth, TrainPipelineQueueMetrics());
-  for (size_t s = 0; s < num_slots; ++s) {
-    free_packs.Push(pipeline_slots_[s].get());
-  }
-
-  ThreadPool* producer = EnsurePipelinePool();
-  producer->Submit([&] {
-    size_t i = 0;
-    while (i < order.size()) {
-      std::optional<BatchPack*> slot = free_packs.Pop();
-      if (!slot.has_value()) break;  // consumer aborted the epoch.
-      BatchPack* pack = *slot;
-      pack->begin = i;
-      pack->shards = 1;
-      pack->shard_plans.resize(1);
-      pack->shard_edge_base.resize(1);
-      std::vector<AggregationPlan>& plans = pack->shard_plans[0];
-      std::vector<size_t>& edge_base = pack->shard_edge_base[0];
-      plans.clear();
-      edge_base.clear();
-      {
-        EHNA_TRACE_PHASE("train.phase.pipeline_plan");
-        for (size_t b = 0; b < batch && i < order.size(); ++i, ++b) {
-          edge_base.push_back(plans.size());
-          PlanEdge(&aggregator_, edges[order[i]], &rng_, &plans);
-        }
-      }
-      pack->count = i - pack->begin;
-      packs_counter->Add(1);
-      if (!ready_packs.Push(pack)) break;
-    }
-    ready_packs.Close();
-  });
-
-  try {
-    for (;;) {
-      BatchPack* pack = nullptr;
-      {
-        EHNA_TRACE_PHASE("train.phase.pipeline_wait");
-        std::optional<BatchPack*> popped = ready_packs.Pop();
-        if (!popped.has_value()) break;  // epoch drained (or producer died).
-        pack = *popped;
-      }
-      {
-        EHNA_TRACE_PHASE("train.phase.forward_backward");
-        TensorArena::Scope tape_scope(&pack->arena);
-        const std::vector<AggregationPlan>& plans = pack->shard_plans[0];
-        std::vector<Var> losses;
-        losses.reserve(pack->shard_edge_base[0].size());
-        if (!plans.empty()) {
-          const std::vector<Var> z =
-              aggregator_.AggregateBatch(plans, /*training=*/true);
-          for (size_t base : pack->shard_edge_base[0]) {
-            Var loss = EdgeLossFromZ(z, base);
-            if (loss.defined()) losses.push_back(loss);
-          }
-        }
-        if (!losses.empty()) {
-          const auto count = static_cast<float>(losses.size());
-          Var mean_loss = ag::ScalarMul(ag::SumN(losses), 1.0f / count);
-          loss_sum += mean_loss.value()[0] * count;
-          Backward(mean_loss);
-        }
-      }
-      {
-        EHNA_TRACE_PHASE("train.phase.optimizer_step");
-        ClipGradNorm(optimizer_.params(), config_.grad_clip);
-        optimizer_.Step();
-        optimizer_.ZeroGrad();
-        embedding_.ApplyAdam(config_.learning_rate *
-                             config_.embedding_lr_multiplier);
-      }
-      pack->arena.Reset();
-      free_packs.Push(pack);
-    }
-    free_packs.Close();
-    producer->Wait();  // surfaces a producer exception at the join point.
-  } catch (...) {
-    // Unwind without stranding the producer on a queue it can never pass:
-    // close both queues, drain the pool without throwing, then rethrow the
-    // original error (a later producer error would only mask it).
-    ready_packs.Close();
-    free_packs.Close();
-    producer->CollectError();
-    throw;
-  }
-
-  stats.edges = order.size();
-  stats.avg_loss = order.empty() ? 0.0 : loss_sum / order.size();
-  stats.seconds = timer.ElapsedSeconds();
-  return stats;
-}
-
-/// Async pipeline, data-parallel consumer. The producer pre-partitions
-/// each batch with exactly ParallelForShards' decomposition and captures
-/// per-shard plans under the same per-edge RNG streams the synchronous
-/// loop derives on the pool threads — streams are keyed on (seed, epoch,
-/// edge position), so *where* they are drawn cannot matter. The consumer
-/// then syncs the replicas, fans the pre-built shards out across the pool
-/// (compute only), and reduces gradients in shard order, unchanged.
-EhnaModel::EpochStats EhnaModel::TrainEpochParallelAsync() {
-  Timer timer;
-  EnsureWorkers();
-  const auto& edges = graph_->edges();
-  const std::vector<size_t> order = ShuffledEpochOrder();
-
-  static Counter* const packs_counter =
-      MetricsRegistry::Global().GetCounter("pipeline.packs");
-
-  EpochStats stats;
-  double loss_sum = 0.0;
-  const size_t batch = static_cast<size_t>(std::max(1, config_.batch_edges));
-  const size_t depth = static_cast<size_t>(config_.pipeline_depth);
-  const size_t num_slots = depth + 1;
-  EnsurePipelineSlots(num_slots);
-  BoundedQueue<BatchPack*> free_packs(num_slots);
-  BoundedQueue<BatchPack*> ready_packs(depth, TrainPipelineQueueMetrics());
-  for (size_t s = 0; s < num_slots; ++s) {
-    free_packs.Push(pipeline_slots_[s].get());
-  }
-
-  const size_t num_workers = workers_.size();
-  const uint64_t epoch = epoch_index_;
-  ThreadPool* producer = EnsurePipelinePool();
-  producer->Submit([&, num_workers, epoch] {
-    size_t i = 0;
-    while (i < order.size()) {
-      std::optional<BatchPack*> slot = free_packs.Pop();
-      if (!slot.has_value()) break;
-      BatchPack* pack = *slot;
-      const size_t begin = i;
-      const size_t count = std::min(batch, order.size() - begin);
-      i = begin + count;
-      const size_t used = std::min(num_workers, count);
-      const size_t shards = ThreadPool::ResolveShards(count, used);
-      pack->begin = begin;
-      pack->count = count;
-      pack->shards = shards;
-      pack->shard_plans.resize(shards);
-      pack->shard_edge_base.resize(shards);
-      {
-        EHNA_TRACE_PHASE("train.phase.pipeline_plan");
-        for (size_t s = 0; s < shards; ++s) {
-          std::vector<AggregationPlan>& plans = pack->shard_plans[s];
-          std::vector<size_t>& edge_base = pack->shard_edge_base[s];
-          plans.clear();
-          edge_base.clear();
-          const auto [a, b] = ThreadPool::ShardBounds(count, shards, s);
-          edge_base.reserve(b - a);
-          for (size_t j = a; j < b; ++j) {
-            const size_t pos = begin + j;
-            Rng edge_rng = Rng::Stream(config_.seed ^ kTrainStreamSalt,
-                                       TrainStream(epoch, pos));
-            edge_base.push_back(plans.size());
-            PlanEdge(&aggregator_, edges[order[pos]], &edge_rng, &plans);
-          }
-        }
-      }
-      packs_counter->Add(1);
-      if (!ready_packs.Push(pack)) break;
-    }
-    ready_packs.Close();
-  });
-
-  try {
-    for (;;) {
-      BatchPack* pack = nullptr;
-      {
-        EHNA_TRACE_PHASE("train.phase.pipeline_wait");
-        std::optional<BatchPack*> popped = ready_packs.Pop();
-        if (!popped.has_value()) break;
-        pack = *popped;
-      }
-      const size_t used = pack->shards;
-      for (size_t w = 0; w < used; ++w) {
-        SyncWorkerFromMaster(workers_[w].get());
-      }
-
-      const float inv_count = 1.0f / static_cast<float>(pack->count);
-      {
-        EHNA_TRACE_PHASE("train.phase.forward_backward");
-        pool_->ParallelForShards(
-            pack->count, used, [&](size_t shard, size_t a, size_t b) {
-              Worker& worker = *workers_[shard];
-              TensorArena::Scope tape_scope(&worker.arena);
-              worker.loss_sum = 0.0;
-              worker.edges = 0;
-              const std::vector<AggregationPlan>& plans =
-                  pack->shard_plans[shard];
-              const std::vector<size_t>& edge_base =
-                  pack->shard_edge_base[shard];
-              EHNA_DCHECK(edge_base.size() == b - a);
-              std::vector<Var> shard_losses;
-              shard_losses.reserve(b - a);
-              if (!plans.empty()) {
-                const std::vector<Var> z = worker.aggregator.AggregateBatch(
-                    plans, /*training=*/true);
-                for (size_t base : edge_base) {
-                  Var loss = EdgeLossFromZ(z, base);
-                  if (loss.defined()) {
-                    worker.loss_sum += loss.value()[0];
-                    shard_losses.push_back(loss);
-                  }
-                  ++worker.edges;
-                }
-              }
-              if (!shard_losses.empty()) {
-                Backward(ag::ScalarMul(ag::SumN(shard_losses), inv_count));
-              }
-            });
-      }
-
-      {
-        EHNA_TRACE_PHASE("train.phase.grad_reduce");
-        for (size_t w = 0; w < used; ++w) {
-          loss_sum += workers_[w]->loss_sum;
-          ReduceWorkerGrads(workers_[w].get());
-        }
-        MergeWorkerBatchNormStats(used);
-        for (size_t w = 0; w < used; ++w) workers_[w]->arena.Reset();
-      }
-
-      {
-        EHNA_TRACE_PHASE("train.phase.optimizer_step");
-        ClipGradNorm(optimizer_.params(), config_.grad_clip);
-        optimizer_.Step();
-        optimizer_.ZeroGrad();
-        embedding_.ApplyAdam(config_.learning_rate *
-                             config_.embedding_lr_multiplier);
-      }
-      free_packs.Push(pack);
-    }
-    free_packs.Close();
-    producer->Wait();
-  } catch (...) {
-    ready_packs.Close();
-    free_packs.Close();
-    producer->CollectError();
-    throw;
-  }
-
-  stats.edges = order.size();
-  stats.avg_loss = order.empty() ? 0.0 : loss_sum / order.size();
-  stats.seconds = timer.ElapsedSeconds();
   return stats;
 }
 

@@ -23,24 +23,24 @@ namespace ehna {
 /// inference pass that replaces each node's embedding with its aggregated
 /// embedding anchored at its most recent interaction.
 ///
-/// With `config.num_threads > 1` (0 = hardware concurrency) the trainer is
-/// data-parallel: each minibatch is sharded across worker replicas that
-/// build independent autograd tapes, and the per-shard gradients are
-/// reduced into the single shared parameter set before one optimizer step,
-/// so a step remains mathematically equivalent to the serial batch (up to
-/// float summation order). Inference (FinalizeEmbeddings) fans out across
-/// nodes with per-node RNG streams, making it reproducible for a fixed
-/// seed regardless of thread count. `num_threads == 1` runs the exact
-/// legacy serial path.
+/// Training is one mini-batch loop over a batch source. Each batch is
+/// split into shards; each shard's aggregations are planned (every RNG
+/// draw captured up front), run through one packed tape, and
+/// backpropagated; the shard gradients are reduced in shard order before
+/// one optimizer step. With `config.num_threads == 1` the single shard
+/// runs on the master aggregator and draws the master RNG in edge order.
+/// With N > 1 (0 = hardware concurrency) each shard runs on a worker
+/// replica and each edge draws its own (seed, epoch, position) stream, so a
+/// step stays mathematically equal to the one-thread batch up to float
+/// summation order, and is reproducible per (seed, num_threads).
+/// Inference (FinalizeEmbeddings) fans out across nodes with per-node RNG
+/// streams, reproducible for a fixed seed regardless of thread count.
 ///
-/// With `config.pipeline_depth >= 1` the trainer additionally overlaps
-/// walk sampling / plan assembly with LSTM compute (DESIGN.md §11): a
-/// producer task on a dedicated pipeline thread pre-builds up to
-/// `pipeline_depth` batch packs behind a bounded queue while the consumer
-/// runs forward/backward/optimizer on the previous pack. Plans capture
-/// every RNG draw up front in the exact synchronous order and compute
-/// consumes no RNG, so async training is bitwise-identical to the
-/// synchronous path — checkpoint bytes included — at any thread count.
+/// `config.pipeline_depth >= 1` changes only where shards are planned: a
+/// producer on a dedicated pipeline thread plans up to `pipeline_depth`
+/// batches ahead behind a bounded queue (DESIGN.md §11). Planning draws the
+/// same values wherever it runs and compute draws none, so at a given
+/// thread count every depth yields the checkpoint bytes of depth 0.
 class EhnaModel {
  public:
   /// `graph` must outlive the model.
@@ -70,7 +70,8 @@ class EhnaModel {
       const std::function<void(int epoch, const EpochStats&)>& progress = {});
 
   /// Builds the autograd loss for one edge (Eq. 6, or Eq. 7 when
-  /// bidirectional negatives are enabled). Exposed for tests.
+  /// bidirectional negatives are enabled) as a one-edge pack drawn from the
+  /// master RNG. Exposed for tests.
   Var EdgeLoss(const TemporalEdge& edge, bool training);
 
   /// §IV.D final pass: one aggregation per node anchored at its most recent
@@ -121,60 +122,65 @@ class EhnaModel {
 
  private:
   /// One data-parallel worker: a replica aggregator with its own parameter
-  /// leaves, embedding gradient sink, and scratch stats.
+  /// leaves, embedding gradient sink, and tape arena.
   struct Worker;
 
-  /// One async-pipeline slot: a batch's plan captures (per shard) plus the
-  /// TensorArena its tape will run in. Slots rotate producer -> ready
-  /// queue -> consumer -> free queue; with pipeline_depth = 1 two slots
-  /// alternate (double buffering).
+  /// One batch of the epoch order, split into shards, with each shard's
+  /// plan captures once PlanShard has filled them.
   struct BatchPack;
 
-  /// EdgeLoss evaluated against an arbitrary aggregator/RNG (the serial
-  /// path passes the master pair; parallel workers pass their replica and
-  /// a per-edge stream).
-  Var EdgeLossOn(EhnaAggregator* aggregator, const TemporalEdge& edge,
-                 bool training, Rng* rng);
+  /// Yields an epoch's packs in order, either sized on demand or sized and
+  /// planned ahead on the pipeline thread (pipeline_depth >= 1).
+  class BatchSource;
 
   /// Plans every aggregation one edge's loss needs — src, dst, then each
-  /// sampled negative — appending to `plans` while consuming `rng` in
-  /// exactly the order EdgeLossOn would (walk sampling, fallback draws and
-  /// negative sampling interleave identically). The edge's plan span is
-  /// [old plans->size(), plans->size()).
-  void PlanEdge(EhnaAggregator* aggregator, const TemporalEdge& edge,
-                Rng* rng, std::vector<AggregationPlan>* plans);
+  /// sampled negative — appending to `plans` while consuming `rng` in a
+  /// fixed order (walk sampling, fallback draws and negative sampling
+  /// interleave). The edge's plan span is [old plans->size(),
+  /// plans->size()). Planning only reads the master aggregator, so any
+  /// thread may run it.
+  void PlanEdge(const TemporalEdge& edge, Rng* rng,
+                std::vector<AggregationPlan>* plans);
 
   /// Assembles Eq. 6/7 from an edge's slice of packed-aggregation outputs
   /// laid out [zx, zy, negatives...] starting at `base`.
   Var EdgeLossFromZ(const std::vector<Var>& z, size_t base);
 
   /// The epoch's shuffled (and possibly capped) edge-index order, drawn
-  /// from the master RNG — the first thing every epoch variant consumes.
+  /// from the master RNG — the first thing every epoch consumes.
   std::vector<size_t> ShuffledEpochOrder();
 
-  EpochStats TrainEpochSerial();
-  EpochStats TrainEpochParallel();
+  /// Sizes `pack` as the batch starting at edge position `begin`: at most
+  /// `batch_edges` edges, split into min(count, num_threads()) shards.
+  void StartPack(size_t begin, size_t epoch_edges, BatchPack* pack) const;
 
-  /// Async-pipeline variants of the two epoch loops (DESIGN.md §11):
-  /// byte-identical results, with planning overlapped against compute.
-  EpochStats TrainEpochSerialAsync();
-  EpochStats TrainEpochParallelAsync();
+  /// Fills one shard's plans. At one thread the master RNG is drawn in
+  /// edge order; at N threads each edge draws its own (seed, epoch,
+  /// position) stream, so shards can be planned anywhere, in any order.
+  void PlanShard(const std::vector<size_t>& order, size_t shard,
+                 BatchPack* pack);
 
-  /// True when this epoch should run the producer/consumer pipeline:
-  /// pipeline_depth >= 1, batched aggregation on, and at least one
-  /// negative sample (the degenerate negative-free objective keeps the
-  /// synchronous path's early-exit semantics).
-  bool PipelineEnabled() const;
+  /// Forward and backward of one planned shard on `aggregator` (the master
+  /// or a worker replica), inside the caller's arena scope. Returns the
+  /// shard's summed edge loss.
+  double ComputeShard(EhnaAggregator* aggregator, const BatchPack& pack,
+                      size_t shard);
+
+  /// The consumer: syncs the replicas, computes every shard (planning it
+  /// first on its own thread unless `planned`), reduces gradients in shard
+  /// order, and takes one optimizer step. Returns the batch's summed loss.
+  double TrainPack(const std::vector<size_t>& order, BatchPack* pack,
+                   bool planned);
 
   /// Lazily builds the pool (and, for EnsureWorkers, the worker replicas)
   /// sized to num_threads().
   ThreadPool* EnsurePool();
   void EnsureWorkers();
 
-  /// Lazily builds the single-thread producer pool and the pipeline's
-  /// recycled batch-pack slots (pipeline_depth + 1 of them).
+  /// Lazily builds the single-thread producer pool, and grows the recycled
+  /// batch packs to `num_packs` (pipeline_depth + 1).
   ThreadPool* EnsurePipelinePool();
-  void EnsurePipelineSlots(size_t num_slots);
+  void EnsurePacks(size_t num_packs);
 
   /// Copies master parameter values and BatchNorm running statistics into a
   /// worker replica (called between optimizer steps, never concurrently
@@ -197,19 +203,21 @@ class EhnaModel {
   NoiseDistribution noise_;
   Adam optimizer_;
 
-  /// Bump allocator for the serial trainer's per-batch tapes. Active (via
-  /// TensorArena::Scope) around each batch's forward/backward, and Reset
-  /// once the optimizer step has consumed the gradients (DESIGN.md §9).
+  /// Bump allocator for the one-thread trainer's per-batch tapes. Active
+  /// (via TensorArena::Scope) around each batch's forward/backward, and
+  /// Reset once the optimizer step has consumed the gradients (DESIGN.md
+  /// §9).
   TensorArena arena_;
 
   std::unique_ptr<ThreadPool> pool_;
   std::vector<std::unique_ptr<Worker>> workers_;
 
-  /// Async pipeline state: a one-thread pool the per-epoch producer task
-  /// runs on (so its exceptions surface at the Wait join point), and the
-  /// recycled pack slots. Only materialized when PipelineEnabled().
+  /// A one-thread pool the prefetch producer runs on (so its exceptions
+  /// surface at the Wait join point); built only when pipeline_depth >= 1.
   std::unique_ptr<ThreadPool> pipeline_pool_;
-  std::vector<std::unique_ptr<BatchPack>> pipeline_slots_;
+  /// Recycled batch packs: one when synchronous, pipeline_depth + 1 when
+  /// prefetching.
+  std::vector<std::unique_ptr<BatchPack>> packs_;
 
   uint64_t epoch_index_ = 0;  // namespaces the per-edge training streams.
 };

@@ -49,6 +49,16 @@ TEST(EhnaModelTest, BidirectionalDoublesNegativeTerms) {
   model.embedding()->ClearGradients();
 }
 
+TEST(EhnaModelDeathTest, ZeroNegativesRejectedAtConstruction) {
+  // Eq. 6/7 sums over negatives, so Q = 0 leaves every batch loss empty;
+  // the model refuses it up front instead of stepping on zero gradients.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  TemporalGraph g = TinyGraph();
+  EhnaConfig cfg = TinyConfig();
+  cfg.num_negatives = 0;
+  EXPECT_DEATH(EhnaModel(&g, cfg), "num_negatives");
+}
+
 TEST(EhnaModelTest, TrainEpochReturnsStats) {
   TemporalGraph g = TinyGraph();
   EhnaModel model(&g, TinyConfig());

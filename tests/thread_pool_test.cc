@@ -191,8 +191,8 @@ EhnaConfig SmallTrainConfig(int num_threads) {
 }
 
 TEST(ParallelTrainingTest, SingleThreadMatchesLegacySerialExactly) {
-  // num_threads = 1 must take the exact legacy code path: two models with
-  // the same seed produce bitwise-identical losses and embeddings.
+  // num_threads = 1 is reproducible per seed: two models with the same
+  // seed produce bitwise-identical losses and embeddings.
   TemporalGraph g = SmallGraph();
   EhnaModel a(&g, SmallTrainConfig(1));
   EhnaModel b(&g, SmallTrainConfig(1));
