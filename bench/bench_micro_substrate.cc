@@ -5,6 +5,7 @@
 // reproduction binaries, which run one full experiment per invocation).
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <vector>
 
 #include "core/aggregator.h"
@@ -29,10 +30,32 @@ const TemporalGraph& BenchGraph() {
   return *graph;
 }
 
+const TemporalGraph& HubBenchGraph() {
+  static const TemporalGraph* graph = [] {
+    auto g = MakePaperDataset(PaperDataset::kYelp, 0.15, 1);
+    EHNA_CHECK(g.ok());
+    return new TemporalGraph(std::move(g).value());
+  }();
+  return *graph;
+}
+
+/// One 10-step temporal walk from a random node after the last edge.
+/// Args: {graph, (p, q) point, rejection}. Graph 0 is the DBLP substitute,
+/// graph 1 the hub-heavy Yelp substitute, whose long candidate lists are
+/// where a per-step O(deg) scan hurts. The (p, q) points are (1, 1), where
+/// every step is beta-free (run once), (2, 0.5) and (4, 0.25); at those,
+/// rejection = 0 times the exact scan the rejection path is measured
+/// against. Prefixes build lazily during the first iterations, so the
+/// steady state is a warm cache, as in training.
 void BM_TemporalWalkSample(benchmark::State& state) {
-  const TemporalGraph& g = BenchGraph();
+  static constexpr double kPq[][2] = {{1.0, 1.0}, {2.0, 0.5}, {4.0, 0.25}};
+  const TemporalGraph& g =
+      state.range(0) == 0 ? BenchGraph() : HubBenchGraph();
   TemporalWalkConfig cfg;
-  cfg.walk_length = static_cast<int>(state.range(0));
+  cfg.walk_length = 10;
+  cfg.p = kPq[state.range(1)][0];
+  cfg.q = kPq[state.range(1)][1];
+  cfg.rejection_sampling = state.range(2) != 0;
   TemporalWalkSampler sampler(&g, cfg);
   Rng rng(1);
   const Timestamp ref = g.max_time() + 1.0;
@@ -41,8 +64,19 @@ void BM_TemporalWalkSample(benchmark::State& state) {
     benchmark::DoNotOptimize(sampler.SampleWalk(v, ref, &rng));
   }
   state.SetItemsProcessed(state.iterations());
+  state.SetLabel(std::string(state.range(0) == 0 ? "dblp" : "yelp") +
+                 " p=" + std::to_string(cfg.p).substr(0, 4) +
+                 " q=" + std::to_string(cfg.q).substr(0, 4) +
+                 (cfg.rejection_sampling ? " rejection" : " scan"));
 }
-BENCHMARK(BM_TemporalWalkSample)->Arg(5)->Arg(10)->Arg(20);
+BENCHMARK(BM_TemporalWalkSample)->Apply([](benchmark::internal::Benchmark* b) {
+  for (const int64_t graph : {0, 1}) {
+    b->Args({graph, 0, 1});
+    for (const int64_t pq : {1, 2}) {
+      for (const int64_t rejection : {0, 1}) b->Args({graph, pq, rejection});
+    }
+  }
+});
 
 void BM_Node2VecWalkSample(benchmark::State& state) {
   const TemporalGraph& g = BenchGraph();

@@ -169,7 +169,7 @@ EhnaAggregator::EhnaAggregator(const TemporalGraph* graph,
 void EhnaAggregator::ResetGraph(const TemporalGraph* graph) {
   EHNA_CHECK(graph != nullptr);
   graph_ = graph;
-  temporal_sampler_ = TemporalWalkSampler(graph, MakeTemporalWalkConfig(config_));
+  temporal_sampler_.Rebind(graph);
   static_sampler_ = Node2VecWalkSampler(graph, MakeStaticWalkConfig(config_));
 }
 

@@ -100,12 +100,12 @@ class EhnaAggregator {
     return {&node_bn_, &walk_bn_};
   }
 
-  /// Repoints the aggregator at a new graph, rebuilding both walk samplers
-  /// (the temporal sampler caches the graph's inverse time span at
-  /// construction, so reseating the pointer alone would leave walk
-  /// probabilities computed against the old span). Trained parameters and
-  /// BatchNorm statistics are untouched. Used by the serving layer after
-  /// compacting its dynamic overlay; `graph` must outlive the aggregator.
+  /// Repoints the aggregator at a new graph, or at the same graph after an
+  /// in-place InsertEdges: rebinds the temporal sampler (O(1); its cached
+  /// time span and per-node prefix sums are invalidated, their buffers
+  /// kept) and rebuilds the static one. Trained parameters and BatchNorm
+  /// statistics are untouched. Used by the serving layer after compacting
+  /// its dynamic overlay; `graph` must outlive the aggregator.
   void ResetGraph(const TemporalGraph* graph);
 
   const EhnaConfig& config() const { return config_; }

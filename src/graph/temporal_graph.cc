@@ -1,6 +1,7 @@
 #include "graph/temporal_graph.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -8,6 +9,14 @@
 #include "util/logging.h"
 
 namespace ehna {
+namespace {
+
+uint64_t NextGraphVersion() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+}  // namespace
 
 Status TemporalGraph::ValidateEdgeCount(uint64_t count) {
   if (count > kMaxEdges) {
@@ -71,6 +80,7 @@ Result<TemporalGraph> TemporalGraph::FromEdges(std::vector<TemporalEdge> edges,
 }
 
 void TemporalGraph::BuildAdjacency() {
+  version_ = NextGraphVersion();
   const NodeId num_nodes = num_nodes_;
   if (!edges_.empty()) {
     min_time_ = edges_.front().time;
@@ -269,6 +279,7 @@ Status TemporalGraph::InsertEdges(std::span<const TemporalEdge> delta,
     min_time_ = edges_.front().time;
     max_time_ = edges_.back().time;
   }
+  version_ = NextGraphVersion();
   return Status::OK();
 }
 
@@ -285,6 +296,11 @@ std::span<const AdjEntry> TemporalGraph::NeighborsBefore(
       all.begin(), all.end(), cutoff,
       [](Timestamp t, const AdjEntry& a) { return t < a.time; });
   return all.subspan(0, static_cast<size_t>(it - all.begin()));
+}
+
+size_t TemporalGraph::AdjacencyOffset(NodeId node) const {
+  EHNA_DCHECK(node < num_nodes_);
+  return adj_offsets_[node];
 }
 
 size_t TemporalGraph::Degree(NodeId node) const {

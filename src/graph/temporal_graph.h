@@ -150,6 +150,17 @@ class TemporalGraph {
   /// Degrees of all nodes (adjacency-entry counts).
   std::vector<size_t> Degrees() const;
 
+  /// Index of `node`'s first slot in the flat adjacency array, and the
+  /// array's length, so per-slot side tables can share the CSR layout.
+  size_t AdjacencyOffset(NodeId node) const;
+  size_t num_adjacency_slots() const { return adj_.size(); }
+
+  /// Identity of the graph's current contents: a process-unique number set
+  /// by FromEdges / FromEdgeLog and by each successful InsertEdges (a copy
+  /// shares it). Per-slot caches keyed by it (TemporalWalkSampler) tell the graph
+  /// they were built for from a mutated one.
+  uint64_t version() const { return version_; }
+
  private:
   /// Builds the CSR arrays from `edges_` (which must already be sorted by
   /// non-decreasing time) for the current num_nodes_/directed_ setting.
@@ -165,6 +176,7 @@ class TemporalGraph {
                                       // index behind HasEdge.
   Timestamp min_time_ = 0.0;
   Timestamp max_time_ = 0.0;
+  uint64_t version_ = 0;
 };
 
 }  // namespace ehna

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "core/model.h"
 #include "graph/generators/generators.h"
@@ -57,6 +58,20 @@ TEST(EhnaModelDeathTest, ZeroNegativesRejectedAtConstruction) {
   EhnaConfig cfg = TinyConfig();
   cfg.num_negatives = 0;
   EXPECT_DEATH(EhnaModel(&g, cfg), "num_negatives");
+}
+
+TEST(EhnaModelDeathTest, InvalidDecayRateRejectedAtConstruction) {
+  // A negative rate turns the walk's rebased kernel exp(rate * (t - t_last)
+  // / span) into a growing exponential whose prefix sums overflow to inf;
+  // a NaN rate poisons every weight. The model refuses both up front.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  TemporalGraph g = TinyGraph();
+  for (const double rate : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity()}) {
+    EhnaConfig cfg = TinyConfig();
+    cfg.decay_rate = rate;
+    EXPECT_DEATH(EhnaModel(&g, cfg), "decay_rate") << rate;
+  }
 }
 
 TEST(EhnaModelTest, TrainEpochReturnsStats) {

@@ -622,8 +622,9 @@ struct ServerFixture {
   std::string dir;
   std::string ckpt;
 
-  explicit ServerFixture(const std::string& tag, int num_threads = 2)
-      : graph(TinyGraph()), cfg(TinyConfig()) {
+  explicit ServerFixture(const std::string& tag, int num_threads = 2,
+                         TemporalGraph base = TinyGraph())
+      : graph(std::move(base)), cfg(TinyConfig()) {
     cfg.num_threads = num_threads;
     dir = FreshDir("ehna_serve_" + tag);
     ckpt = dir + "/model.ehnc";
@@ -770,6 +771,36 @@ TEST(EmbeddingServerTest, RefreshPhasesAreBitwiseNeutral) {
     nested_ns += h->sum();
   }
   EXPECT_LE(nested_ns, refresh->sum());
+}
+
+// A refresh rebinds the walk sampler in O(1) and builds prefix sums only
+// for the nodes its walks visit, not for the whole graph: no O(E) rebuild
+// per refresh (DESIGN.md §2).
+TEST(EmbeddingServerTest, RefreshBuildsPrefixesOnlyForVisitedNodes) {
+  auto base = MakePaperDataset(PaperDataset::kDblp, 0.3, 9);
+  ASSERT_TRUE(base.ok());
+  ServerFixture fx("prefix_builds", 2, std::move(base).value());
+  auto loaded = EmbeddingServer::Load(fx.ckpt, fx.graph, fx.Options());
+  ASSERT_TRUE(loaded.ok());
+  EmbeddingServer& server = *loaded.value();
+  const Timestamp t0 = fx.graph.max_time();
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(server.Ingest({static_cast<NodeId>(i),
+                               static_cast<NodeId>(10 + i), t0 + 1.0 + i})
+                    .ok());
+  }
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  reg.Reset();
+  ASSERT_TRUE(server.Refresh().ok());
+  const MetricsSnapshot snap = reg.Snapshot();
+  const uint64_t builds = snap.CounterValue("walk.temporal.prefix_builds");
+  const uint64_t visits = snap.CounterValue("walk.temporal.walks") +
+                          snap.CounterValue("walk.temporal.steps");
+  EXPECT_GT(builds, 0u);
+  EXPECT_LE(builds, visits);  // at most one build per node a walk stood on.
+  EXPECT_LT(builds, static_cast<uint64_t>(server.num_nodes()) / 2)
+      << builds << " builds over " << visits << " walk positions, "
+      << server.num_nodes() << " nodes";
 }
 
 TEST(EmbeddingServerTest, NewNodesBecomeServableAfterRefresh) {
