@@ -295,17 +295,11 @@ BENCHMARK(BM_Table8_PhaseBreakdown)->Iterations(1)->Unit(benchmark::kSecond);
 // either way, so this table is pure schedule.
 //
 // One epoch spreads by about ±25% between runs on a shared host, so each
-// column runs EHNA_BENCH_REPS times (default 5), the columns interleaved
-// and rotated per repetition so drift hits them alike. Cells are medians;
-// a speed-up is the median of the per-repetition sync / piped ratios, with
+// column runs kPipelineRepetitions times, the columns interleaved and
+// rotated per repetition so drift hits them alike. Cells are medians; a
+// speed-up is the median of the per-repetition sync / piped ratios, with
 // its range beside it.
-int BenchRepetitions() {
-  if (const char* s = std::getenv("EHNA_BENCH_REPS")) {
-    const int v = std::atoi(s);
-    if (v > 0) return v;
-  }
-  return 5;
-}
+constexpr int kPipelineRepetitions = 5;
 
 double Median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
@@ -316,7 +310,6 @@ double Median(std::vector<double> v) {
 void BM_Table8_PipelineOverlap(benchmark::State& state) {
   const ehna::TemporalGraph graph = BuildDataset(PaperDataset::kDigg);
   const int threads = BenchThreads();
-  const int reps = BenchRepetitions();
   ehna::MetricsRegistry& registry = ehna::MetricsRegistry::Global();
 
   struct RunSpec {
@@ -349,7 +342,7 @@ void BM_Table8_PipelineOverlap(benchmark::State& state) {
     TableWriter table(
         "Table VIII companion — sync vs pipelined epoch (EHNA, Digg, "
         "seconds, median of " +
-            std::to_string(reps) + ")",
+            std::to_string(kPipelineRepetitions) + ")",
         std::move(header));
 
     // samples[row key][column] holds one value per repetition.
@@ -360,7 +353,7 @@ void BM_Table8_PipelineOverlap(benchmark::State& state) {
       row.resize(runs.size());
       row[column].push_back(value);
     };
-    for (int rep = 0; rep < reps; ++rep) {
+    for (int rep = 0; rep < kPipelineRepetitions; ++rep) {
       for (size_t k = 0; k < runs.size(); ++k) {
         const size_t column = (k + static_cast<size_t>(rep)) % runs.size();
         const RunSpec& run = runs[column];
@@ -408,15 +401,15 @@ void BM_Table8_PipelineOverlap(benchmark::State& state) {
     const std::vector<std::vector<double>>& epoch = samples["epoch"];
     const auto speedups = [&](size_t sync) {
       std::vector<double> r;
-      for (int rep = 0; rep < reps; ++rep) {
+      for (int rep = 0; rep < kPipelineRepetitions; ++rep) {
         r.push_back(epoch[sync][rep] / epoch[sync + 1][rep]);
       }
       return r;
     };
     const std::vector<double> serial = speedups(0);
     const std::vector<double> mt = speedups(2);
-    std::cout << "epoch speed-up, sync / piped (median [min, max] of " << reps
-              << "): serial " << Median(serial) << " ["
+    std::cout << "epoch speed-up, sync / piped (median [min, max] of "
+              << kPipelineRepetitions << "): serial " << Median(serial) << " ["
               << *std::min_element(serial.begin(), serial.end()) << ", "
               << *std::max_element(serial.begin(), serial.end()) << "], "
               << threads << "T " << Median(mt) << " ["

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 
 #include "util/logging.h"
 #include "util/metrics.h"
@@ -20,6 +21,10 @@ constexpr double kRejectionCandidatesPerRatio = 0.5;
 /// Rejection trials per unit of beta_max / beta_min before the scan takes
 /// over; at the worst acceptance rate, e^-4 of the steps reach the scan.
 constexpr double kTrialsPerRatio = 4.0;
+/// Upper clamp of beta_max / beta_min; kTrialsPerRatio times it fits int.
+constexpr double kMaxBetaRatio = 1e8;
+static_assert(kTrialsPerRatio * kMaxBetaRatio <
+              static_cast<double>(std::numeric_limits<int>::max()));
 
 /// Per-thread scratch for the scan's prefix sums. SampleWalk runs
 /// concurrently from worker shards; a function-local vector would pay one
@@ -95,15 +100,16 @@ TemporalWalkSampler::TemporalWalkSampler(const TemporalGraph* graph,
   accept_two_hop_ = beta_two_hop / beta_max;
   beta_free_ = config_.p == 1.0 && config_.q == 1.0;
 
-  double beta_min = std::min(1.0, beta_two_hop);
+  // beta_min over the non-zero beta: a zero beta (p or q = inf) bounds no
+  // acceptance rate, and the trial cap handles lists that are mostly zero.
+  double beta_min = 1.0;
   if (beta_return > 0.0) beta_min = std::min(beta_min, beta_return);
-  // Clamped so an extreme p or q cannot overflow the integer conversions;
-  // at that ratio every beta step scans anyway.
-  const double ratio = std::min(beta_max / beta_min, 1e9);
+  if (beta_two_hop > 0.0) beta_min = std::min(beta_min, beta_two_hop);
+  // Clamped so an extreme p or q keeps kTrialsPerRatio * ratio within int;
+  // at that ratio every beta step scans directly anyway.
+  const double ratio = std::min(beta_max / beta_min, kMaxBetaRatio);
   min_rejection_candidates_ =
-      config_.rejection_sampling
-          ? static_cast<size_t>(std::ceil(kRejectionCandidatesPerRatio * ratio))
-          : static_cast<size_t>(-1);
+      static_cast<size_t>(std::ceil(kRejectionCandidatesPerRatio * ratio));
   max_rejection_trials_ = static_cast<int>(std::ceil(kTrialsPerRatio * ratio));
   Rebind(graph);
 }

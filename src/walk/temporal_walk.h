@@ -37,12 +37,6 @@ struct TemporalWalkConfig {
   /// replaced by the static edge weight — i.e. a plain node2vec walk over
   /// the historical subgraph.
   bool use_time_decay = true;
-  /// When p or q != 1, steps after the first propose from the beta-free
-  /// prefix sums and accept with probability beta / beta_max (rejection
-  /// sampling, DESIGN.md §2). False sends every such step to the exact
-  /// O(deg) scan; the draws then differ, the distribution does not. The
-  /// switch exists so benches can time the two against each other.
-  bool rejection_sampling = true;
 };
 
 /// Samples EHNA temporal random walks: starting from a target node `x` with

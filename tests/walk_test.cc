@@ -395,7 +395,8 @@ std::vector<LawCase> LawGrid() {
   const double inf = std::numeric_limits<double>::infinity();
   std::vector<LawCase> grid;
   for (const auto& [p, q] : std::vector<std::pair<double, double>>{
-           {1.0, 1.0}, {4.0, 0.25}, {0.25, 4.0}, {inf, 1.0}}) {
+           {1.0, 1.0}, {4.0, 0.25}, {0.25, 4.0}, {inf, 1.0}, {1.0, inf},
+           {1e9, 1.0}}) {
     for (const double decay : {0.0, 5.0, 1e4}) grid.push_back({p, q, decay});
   }
   return grid;
@@ -437,7 +438,11 @@ TEST(TemporalWalkLawTest, HubStepMatchesExactLaw) {
     // The path each case is meant to exercise was taken: at decay 1e4 the
     // prefixes of the probe and the hub (rebased to their edges at t = 5
     // and t = 10) underflow, so both steps scan; otherwise p = q = 1 draws
-    // from the prefix alone and every other (p, q) goes through rejection.
+    // from the prefix alone. At p = 1e9, beta_max / beta_min is beyond
+    // any list length, so the hub step scans directly. At q = inf only the
+    // return edge has non-zero beta * weight: the zero beta does not enter
+    // beta_min, so rejection is tried and the trial cap sends most steps to
+    // the scan. Every other (p, q) goes through rejection.
     const MetricsSnapshot snap = reg.Snapshot();
     const uint64_t trials = snap.CounterValue("walk.temporal.rejection_trials");
     const uint64_t scans = snap.CounterValue("walk.temporal.scan_fallbacks");
@@ -446,6 +451,12 @@ TEST(TemporalWalkLawTest, HubStepMatchesExactLaw) {
     } else if (c.p == 1.0 && c.q == 1.0) {
       EXPECT_EQ(trials, 0u) << Describe(c);
       EXPECT_EQ(scans, 0u) << Describe(c);
+    } else if (c.p == 1e9) {
+      EXPECT_EQ(trials, 0u) << Describe(c);
+      EXPECT_EQ(scans, static_cast<uint64_t>(kDraws)) << Describe(c);
+    } else if (std::isinf(c.q)) {
+      EXPECT_GE(trials, static_cast<uint64_t>(kDraws)) << Describe(c);
+      EXPECT_LT(scans, static_cast<uint64_t>(kDraws)) << Describe(c);
     } else {
       EXPECT_GE(trials, static_cast<uint64_t>(kDraws)) << Describe(c);
       EXPECT_LT(scans, static_cast<uint64_t>(kDraws / 10)) << Describe(c);
