@@ -246,7 +246,7 @@ void BM_ServeAnnQueries(benchmark::State& state) {
         t0 = std::chrono::steady_clock::now();
         uint64_t qsink = 0;
         for (const NodeId q : queries) {
-          auto res = index.QueryNodeQuantized(qm, q, 10);
+          auto res = index.QueryNode(q, 10, /*nprobe=*/0, &qm);
           EHNA_CHECK(res.ok());
           qsink += res.value().empty() ? 0 : res.value()[0].node;
         }

@@ -10,6 +10,9 @@
 //   STATS                    server counters
 //   QUIT                     exit
 //
+// A line with a malformed or surplus token answers `ERR usage: ...` and
+// changes nothing.
+//
 // `serve_demo --smoke` instead runs a scripted end-to-end check (used by
 // CI): ingest a stream of edges, refresh, and verify the served embeddings
 // against a from-scratch offline recompute — bitwise for refreshed nodes —
@@ -104,6 +107,18 @@ void PrintNeighbors(const Result<std::vector<Neighbor>>& res) {
   std::printf("\n");
 }
 
+// True at the end of the line (trailing whitespace allowed).
+bool AtEnd(std::istringstream& in) { return (in >> std::ws).eof(); }
+
+// Reads an optional last token into `value`, which keeps its default when
+// the line ends. False when the token does not parse whole or more tokens
+// follow — never a silently zeroed value.
+template <typename T>
+bool ReadOptionalLast(std::istringstream& in, T* value) {
+  if (AtEnd(in)) return true;
+  return static_cast<bool>(in >> *value) && AtEnd(in);
+}
+
 int RunRepl(ServePrecision precision) {
   TrainedServer ts;
   if (!BuildServer(&ts, /*refresh_batch=*/256, /*nprobe=*/0, precision)) {
@@ -124,27 +139,25 @@ int RunRepl(ServePrecision precision) {
       NodeId u, v;
       double t;
       float w = 1.0f;
-      if (!(in >> u >> v >> t)) {
+      if (!(in >> u >> v >> t) || !ReadOptionalLast(in, &w)) {
         std::printf("ERR usage: INGEST u v t [w]\n");
         continue;
       }
-      in >> w;
       Status st = server.Ingest({u, v, t, w});
       std::printf("%s\n", st.ok() ? "OK" : ("ERR " + st.ToString()).c_str());
     } else if (cmd == "QUERY" || cmd == "query" || cmd == "EXACT" ||
                cmd == "exact") {
       NodeId v;
       size_t k = 10;
-      if (!(in >> v)) {
+      if (!(in >> v) || !ReadOptionalLast(in, &k)) {
         std::printf("ERR usage: %s v [k]\n", cmd.c_str());
         continue;
       }
-      in >> k;
       const bool exact = (cmd == "EXACT" || cmd == "exact");
       PrintNeighbors(exact ? server.QueryExact(v, k) : server.Query(v, k));
     } else if (cmd == "SCORE" || cmd == "score") {
       NodeId u, v;
-      if (!(in >> u >> v)) {
+      if (!(in >> u >> v) || !AtEnd(in)) {
         std::printf("ERR usage: SCORE u v\n");
         continue;
       }
@@ -154,6 +167,10 @@ int RunRepl(ServePrecision precision) {
       } else {
         std::printf("ERR %s\n", score.status().ToString().c_str());
       }
+    } else if ((cmd == "REFRESH" || cmd == "refresh" || cmd == "STATS" ||
+                cmd == "stats") &&
+               !AtEnd(in)) {
+      std::printf("ERR usage: %s\n", cmd.c_str());
     } else if (cmd == "REFRESH" || cmd == "refresh") {
       Status st = server.Refresh();
       std::printf("%s\n", st.ok() ? "OK" : ("ERR " + st.ToString()).c_str());

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
 #include <string>
 
 #include "nn/kernels.h"
@@ -28,6 +27,22 @@ float AdjustedAssignScore(float dot, float centroid_sqnorm,
   return dot;
 }
 
+// The cell a row is assigned to, from its dot products with every
+// centroid (the first best cell wins ties).
+size_t BestCell(const float* dots, const std::vector<float>& sqnorms,
+                Similarity similarity) {
+  size_t best = 0;
+  float best_score = AdjustedAssignScore(dots[0], sqnorms[0], similarity);
+  for (size_t c = 1; c < sqnorms.size(); ++c) {
+    const float s = AdjustedAssignScore(dots[c], sqnorms[c], similarity);
+    if (s > best_score) {
+      best_score = s;
+      best = c;
+    }
+  }
+  return best;
+}
+
 std::vector<float> CentroidSquaredNorms(const Tensor& centroids) {
   std::vector<float> out(centroids.rows());
   for (int64_t c = 0; c < centroids.rows(); ++c) {
@@ -41,11 +56,18 @@ std::vector<float> CentroidSquaredNorms(const Tensor& centroids) {
   return out;
 }
 
-struct WorseNeighbor {
-  bool operator()(const Neighbor& a, const Neighbor& b) const {
-    return a.score > b.score;
+// Each tier records its own query phase. Resolved on first use, so a
+// process that serves one tier registers only that tier's histogram.
+StreamingHistogram* QueryPhase(bool quantized) {
+  if (quantized) {
+    static StreamingHistogram* const hist = MetricsRegistry::Global()
+        .GetHistogram("eval.phase.ann_query_quantized");
+    return hist;
   }
-};
+  static StreamingHistogram* const hist =
+      MetricsRegistry::Global().GetHistogram("eval.phase.ann_query");
+  return hist;
+}
 
 }  // namespace
 
@@ -112,18 +134,8 @@ Result<IvfFlatIndex> IvfFlatIndex::Build(const Tensor& embeddings,
     std::fill(sums.data(), sums.data() + sums.numel(), 0.0f);
     std::fill(counts.begin(), counts.end(), 0);
     for (size_t i = 0; i < sample_size; ++i) {
-      const float* row_scores = scores.Row(static_cast<int64_t>(i));
-      size_t best = 0;
-      float best_score = AdjustedAssignScore(row_scores[0], sqnorms[0],
-                                             options.similarity);
-      for (size_t c = 1; c < num_lists; ++c) {
-        const float s =
-            AdjustedAssignScore(row_scores[c], sqnorms[c], options.similarity);
-        if (s > best_score) {
-          best_score = s;
-          best = c;
-        }
-      }
+      const size_t best = BestCell(scores.Row(static_cast<int64_t>(i)),
+                                   sqnorms, options.similarity);
       kernels::Axpy(d, 1.0f, sample.Row(static_cast<int64_t>(i)),
                     sums.Row(static_cast<int64_t>(best)));
       ++counts[best];
@@ -162,18 +174,8 @@ Result<IvfFlatIndex> IvfFlatIndex::Build(const Tensor& embeddings,
                     embeddings.Row(base), index.centroids_.data(),
                     block_scores.data(), /*accumulate=*/false);
     for (int64_t i = 0; i < rows; ++i) {
-      const float* row_scores = block_scores.Row(i);
-      size_t best = 0;
-      float best_score = AdjustedAssignScore(row_scores[0], sqnorms[0],
-                                             options.similarity);
-      for (size_t c = 1; c < num_lists; ++c) {
-        const float s =
-            AdjustedAssignScore(row_scores[c], sqnorms[c], options.similarity);
-        if (s > best_score) {
-          best_score = s;
-          best = c;
-        }
-      }
+      const size_t best =
+          BestCell(block_scores.Row(i), sqnorms, options.similarity);
       const NodeId id = static_cast<NodeId>(base + i);
       index.loc_[id] = {static_cast<uint32_t>(best),
                         static_cast<uint32_t>(index.list_ids_[best].size())};
@@ -203,14 +205,17 @@ size_t IvfFlatIndex::NearestCentroid(const float* v) const {
 }
 
 std::vector<Neighbor> IvfFlatIndex::Query(const float* query, size_t k,
-                                          int64_t exclude,
-                                          size_t nprobe) const {
+                                          int64_t exclude, size_t nprobe,
+                                          const QuantizedMatrix* mirror,
+                                          size_t rerank_factor) const {
   if (k == 0) return {};
-  EHNA_TRACE_PHASE("eval.phase.ann_query");
+  const bool quantized =
+      mirror != nullptr && mirror->precision() != ServePrecision::kFp32;
+  PhaseScope phase(QueryPhase(quantized));
   const size_t lists = num_lists();
   const size_t probes = std::min(nprobe > 0 ? nprobe : nprobe_, lists);
 
-  // Rank cells by centroid score and take the best `probes`.
+  // Rank cells by fp32 centroid score and take the best `probes`.
   std::vector<std::pair<double, size_t>> cell_scores;
   cell_scores.reserve(lists);
   for (size_t c = 0; c < lists; ++c) {
@@ -223,124 +228,47 @@ std::vector<Neighbor> IvfFlatIndex::Query(const float* query, size_t k,
                     cell_scores.end(),
                     [](const auto& a, const auto& b) { return a.first > b.first; });
 
-  // Exact-scan semantics within the probed cells: same score function, same
-  // min-heap replacement rule as TopKNeighbors.
-  std::priority_queue<Neighbor, std::vector<Neighbor>, WorseNeighbor> heap;
-  for (size_t p = 0; p < probes; ++p) {
-    const size_t c = cell_scores[p].second;
-    const std::vector<NodeId>& ids = list_ids_[c];
-    const float* data = list_data_[c].data();
-    for (size_t i = 0; i < ids.size(); ++i) {
-      if (static_cast<int64_t>(ids[i]) == exclude) continue;
-      const double s = SimilarityScore(query, data + i * dim_, dim_,
-                                       options_.similarity);
-      if (heap.size() < k) {
-        heap.push(Neighbor{ids[i], s});
-      } else if (s > heap.top().score) {
-        heap.pop();
-        heap.push(Neighbor{ids[i], s});
+  // The best `capacity` candidates of the probed cells under score(id, row).
+  const auto select = [&](size_t capacity, auto score) {
+    TopKSelector selected(capacity);
+    for (size_t p = 0; p < probes; ++p) {
+      const size_t c = cell_scores[p].second;
+      const std::vector<NodeId>& ids = list_ids_[c];
+      const float* data = list_data_[c].data();
+      for (size_t i = 0; i < ids.size(); ++i) {
+        if (static_cast<int64_t>(ids[i]) == exclude) continue;
+        selected.Offer(ids[i], score(ids[i], data + i * dim_));
       }
     }
-  }
-  std::vector<Neighbor> out;
-  out.reserve(heap.size());
-  while (!heap.empty()) {
-    out.push_back(heap.top());
-    heap.pop();
-  }
-  std::reverse(out.begin(), out.end());
-  return out;
+    return selected.Drain();
+  };
+  const auto fp32_score = [&](NodeId, const float* row) {
+    return SimilarityScore(query, row, dim_, options_.similarity);
+  };
+  if (!quantized) return select(k, fp32_score);
+
+  QuantizedScorer scorer(mirror, query, options_.similarity);
+  const int64_t mirror_rows = mirror->rows();
+  const auto quantized_score = [&](NodeId id, const float* row) {
+    return static_cast<int64_t>(id) < mirror_rows
+               ? scorer.Score(static_cast<int64_t>(id))
+               : fp32_score(id, row);
+  };
+  return RerankExact(select(RerankSurvivors(k, rerank_factor), quantized_score),
+                     query, dim_, options_.similarity, k,
+                     [this](NodeId v) { return VectorOf(v); });
 }
 
-std::vector<Neighbor> IvfFlatIndex::QueryQuantized(const QuantizedMatrix& quant,
-                                                   const float* query, size_t k,
-                                                   int64_t exclude,
-                                                   size_t nprobe,
-                                                   size_t rerank_factor) const {
-  if (k == 0) return {};
-  EHNA_TRACE_PHASE("eval.phase.ann_query_quantized");
-  const size_t lists = num_lists();
-  const size_t probes = std::min(nprobe > 0 ? nprobe : nprobe_, lists);
-
-  // Probe selection is unchanged from Query: fp32 centroid scores.
-  std::vector<std::pair<double, size_t>> cell_scores;
-  cell_scores.reserve(lists);
-  for (size_t c = 0; c < lists; ++c) {
-    cell_scores.emplace_back(
-        SimilarityScore(query, centroids_.Row(static_cast<int64_t>(c)), dim_,
-                        options_.similarity),
-        c);
-  }
-  std::partial_sort(cell_scores.begin(), cell_scores.begin() + probes,
-                    cell_scores.end(),
-                    [](const auto& a, const auto& b) { return a.first > b.first; });
-
-  // Quantized candidate pass: keep the best rerank_factor*k survivors under
-  // the cheap score, same heap-replacement rule as the fp32 scan.
-  const size_t survivors = std::max<size_t>(rerank_factor, 1) * k;
-  QuantizedScorer scorer(&quant, query, options_.similarity);
-  const int64_t quant_rows = quant.rows();
-  std::priority_queue<Neighbor, std::vector<Neighbor>, WorseNeighbor> heap;
-  for (size_t p = 0; p < probes; ++p) {
-    const size_t c = cell_scores[p].second;
-    const std::vector<NodeId>& ids = list_ids_[c];
-    const float* data = list_data_[c].data();
-    for (size_t i = 0; i < ids.size(); ++i) {
-      if (static_cast<int64_t>(ids[i]) == exclude) continue;
-      const double s =
-          static_cast<int64_t>(ids[i]) < quant_rows
-              ? scorer.Score(static_cast<int64_t>(ids[i]))
-              : SimilarityScore(query, data + i * dim_, dim_,
-                                options_.similarity);
-      if (heap.size() < survivors) {
-        heap.push(Neighbor{ids[i], s});
-      } else if (s > heap.top().score) {
-        heap.pop();
-        heap.push(Neighbor{ids[i], s});
-      }
-    }
-  }
-
-  // fp32 re-rank over the indexed vectors (same bytes as the serving rows),
-  // ties toward the lower id for determinism.
-  std::vector<Neighbor> cand;
-  cand.reserve(heap.size());
-  while (!heap.empty()) {
-    cand.push_back(heap.top());
-    heap.pop();
-  }
-  for (Neighbor& nb : cand) {
-    nb.score =
-        SimilarityScore(query, VectorOf(nb.node), dim_, options_.similarity);
-  }
-  std::sort(cand.begin(), cand.end(), [](const Neighbor& a, const Neighbor& b) {
-    if (a.score != b.score) return a.score > b.score;
-    return a.node < b.node;
-  });
-  if (cand.size() > k) cand.resize(k);
-  return cand;
-}
-
-Result<std::vector<Neighbor>> IvfFlatIndex::QueryNodeQuantized(
-    const QuantizedMatrix& quant, NodeId node, size_t k, size_t nprobe,
+Result<std::vector<Neighbor>> IvfFlatIndex::QueryNode(
+    NodeId node, size_t k, size_t nprobe, const QuantizedMatrix* mirror,
     size_t rerank_factor) const {
   const float* vec = VectorOf(node);
   if (vec == nullptr) {
     return Status::OutOfRange("node " + std::to_string(node) +
                               " not in ANN index");
   }
-  return QueryQuantized(quant, vec, k, static_cast<int64_t>(node), nprobe,
-                        rerank_factor);
-}
-
-Result<std::vector<Neighbor>> IvfFlatIndex::QueryNode(NodeId node, size_t k,
-                                                      size_t nprobe) const {
-  const float* vec = VectorOf(node);
-  if (vec == nullptr) {
-    return Status::OutOfRange("node " + std::to_string(node) +
-                              " not in ANN index");
-  }
-  return Query(vec, k, static_cast<int64_t>(node), nprobe);
+  return Query(vec, k, static_cast<int64_t>(node), nprobe, mirror,
+               rerank_factor);
 }
 
 const float* IvfFlatIndex::VectorOf(NodeId id) const {

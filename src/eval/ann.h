@@ -70,30 +70,27 @@ class IvfFlatIndex {
   /// `query` (length dim). `exclude` drops one id from the candidates (pass
   /// the query's own id for neighbor semantics matching TopKNeighbors).
   /// Results sorted by descending score.
+  ///
+  /// `mirror` picks the precision tier (DESIGN.md §14). Null or fp32: the
+  /// probed candidates are scored with SimilarityScore, exactly as the
+  /// exact scan scores them. Quantized: centroid ranking stays fp32, the
+  /// probed candidates are scored through `mirror` (which must mirror the
+  /// indexed vectors row-for-row by id), the top RerankSurvivors(k,
+  /// rerank_factor) are re-ranked with RerankExact over the indexed
+  /// vectors, and the best k return with those exact scores. Ids the
+  /// mirror does not cover yet are scored in fp32 directly (never silently
+  /// dropped).
   std::vector<Neighbor> Query(const float* query, size_t k,
-                              int64_t exclude = -1, size_t nprobe = 0) const;
+                              int64_t exclude = -1, size_t nprobe = 0,
+                              const QuantizedMatrix* mirror = nullptr,
+                              size_t rerank_factor = 4) const;
 
   /// Query by indexed id, excluding the id itself — the ANN counterpart of
-  /// TopKNeighbors(embeddings, node, k, similarity). OutOfRange for ids not
-  /// in the index.
-  Result<std::vector<Neighbor>> QueryNode(NodeId node, size_t k,
-                                          size_t nprobe = 0) const;
-
-  /// Quantized candidate scoring over the probed cells (DESIGN.md §14):
-  /// centroid ranking stays fp32, candidates in the probed cells are scored
-  /// through `quant` (which must mirror the indexed matrix row-for-row by
-  /// id), the top `rerank_factor * k` survivors are re-scored with the
-  /// exact fp32 SimilarityScore over the indexed vectors, and the best k
-  /// are returned with those exact scores. Ids the mirror does not cover
-  /// yet are scored in fp32 directly (never silently dropped).
-  std::vector<Neighbor> QueryQuantized(const QuantizedMatrix& quant,
-                                       const float* query, size_t k,
-                                       int64_t exclude = -1, size_t nprobe = 0,
-                                       size_t rerank_factor = 4) const;
-
-  /// QueryNode through the quantized path.
-  Result<std::vector<Neighbor>> QueryNodeQuantized(
-      const QuantizedMatrix& quant, NodeId node, size_t k, size_t nprobe = 0,
+  /// TopKNeighborsQuantized(embeddings, *mirror, node, k, similarity).
+  /// OutOfRange for ids not in the index.
+  Result<std::vector<Neighbor>> QueryNode(
+      NodeId node, size_t k, size_t nprobe = 0,
+      const QuantizedMatrix* mirror = nullptr,
       size_t rerank_factor = 4) const;
 
   /// Upserts `vec` (length dim) as id `id`: re-assigns it to the nearest

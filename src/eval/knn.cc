@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
+#include <cstdint>
+#include <span>
 #include <string>
 
 #include "nn/kernels.h"
@@ -41,64 +42,33 @@ double SimilarityScore(const float* a, const float* b, int64_t d,
   return 0.0;
 }
 
-namespace {
+void TopKSelector::Push(const Neighbor& nb) { heap_.push(nb); }
 
-// Min-heap comparator shared by the single and batched scans: the heap top
-// is the worst of the best-k seen so far.
-struct WorseNeighbor {
-  bool operator()(const Neighbor& a, const Neighbor& b) const {
-    return a.score > b.score;
-  }
-};
+void TopKSelector::ReplaceWorst(const Neighbor& nb) {
+  heap_.pop();
+  heap_.push(nb);
+}
 
-std::vector<Neighbor> DrainHeapDescending(
-    std::priority_queue<Neighbor, std::vector<Neighbor>, WorseNeighbor>* heap) {
+std::vector<Neighbor> TopKSelector::Drain() {
   std::vector<Neighbor> out;
-  out.reserve(heap->size());
-  while (!heap->empty()) {
-    out.push_back(heap->top());
-    heap->pop();
+  out.reserve(heap_.size());
+  while (!heap_.empty()) {
+    out.push_back(heap_.top());
+    heap_.pop();
   }
   std::reverse(out.begin(), out.end());
   return out;
 }
 
-}  // namespace
-
-Result<std::vector<Neighbor>> TopKNeighbors(const Tensor& embeddings,
-                                            NodeId query, size_t k,
-                                            Similarity similarity) {
-  if (embeddings.rank() != 2) {
-    return Status::InvalidArgument("embeddings must be a matrix");
-  }
-  if (query >= embeddings.rows()) {
-    return Status::OutOfRange("query node " + std::to_string(query) +
-                              " outside embedding matrix");
-  }
-  if (k == 0) return std::vector<Neighbor>{};
-  EHNA_TRACE_PHASE("eval.phase.knn_query");
-
-  const int64_t d = embeddings.cols();
-  const float* q = embeddings.Row(query);
-
-  // Min-heap of the best k scores seen so far.
-  std::priority_queue<Neighbor, std::vector<Neighbor>, WorseNeighbor> heap;
-  for (int64_t v = 0; v < embeddings.rows(); ++v) {
-    if (static_cast<NodeId>(v) == query) continue;
-    const double s = SimilarityScore(q, embeddings.Row(v), d, similarity);
-    if (heap.size() < k) {
-      heap.push(Neighbor{static_cast<NodeId>(v), s});
-    } else if (s > heap.top().score) {
-      heap.pop();
-      heap.push(Neighbor{static_cast<NodeId>(v), s});
-    }
-  }
-  return DrainHeapDescending(&heap);
+size_t RerankSurvivors(size_t k, size_t rerank_factor) {
+  const size_t factor = std::max<size_t>(rerank_factor, 1);
+  return k > SIZE_MAX / factor ? SIZE_MAX : factor * k;
 }
 
-Result<std::vector<std::vector<Neighbor>>> TopKNeighborsBatch(
-    const Tensor& embeddings, std::span<const NodeId> queries, size_t k,
-    Similarity similarity) {
+namespace {
+
+Status CheckQueries(const Tensor& embeddings,
+                    std::span<const NodeId> queries) {
   if (embeddings.rank() != 2) {
     return Status::InvalidArgument("embeddings must be a matrix");
   }
@@ -108,37 +78,54 @@ Result<std::vector<std::vector<Neighbor>>> TopKNeighborsBatch(
                                 " outside embedding matrix");
     }
   }
-  std::vector<std::vector<Neighbor>> results(queries.size());
-  if (k == 0 || queries.empty()) return results;
-  EHNA_TRACE_PHASE("eval.phase.knn_query_batch");
+  return Status::OK();
+}
 
+// The fp32 scan behind TopKNeighbors and TopKNeighborsBatch: one pass over
+// the matrix, row v scored against every query while its data is hot, one
+// selector per query — so a batch answers each query exactly as a single
+// scan does, ties included. Requires k > 0.
+std::vector<std::vector<Neighbor>> ScanExact(const Tensor& embeddings,
+                                             std::span<const NodeId> queries,
+                                             size_t k, Similarity similarity) {
   const int64_t d = embeddings.cols();
-  // One pass over the matrix: row v is scored against every query while its
-  // data is hot, with per-query heaps updated by the exact per-query rule —
-  // so results (including tie behavior, which keeps the lowest-id node when
-  // scores tie at the heap boundary) match TopKNeighbors call-for-call.
-  std::vector<
-      std::priority_queue<Neighbor, std::vector<Neighbor>, WorseNeighbor>>
-      heaps(queries.size());
+  std::vector<const float*> query_rows;
+  for (const NodeId q : queries) query_rows.push_back(embeddings.Row(q));
+  std::vector<TopKSelector> best(queries.size(), TopKSelector(k));
   for (int64_t v = 0; v < embeddings.rows(); ++v) {
     const float* row = embeddings.Row(v);
     for (size_t qi = 0; qi < queries.size(); ++qi) {
       if (static_cast<NodeId>(v) == queries[qi]) continue;
-      const double s =
-          SimilarityScore(embeddings.Row(queries[qi]), row, d, similarity);
-      auto& heap = heaps[qi];
-      if (heap.size() < k) {
-        heap.push(Neighbor{static_cast<NodeId>(v), s});
-      } else if (s > heap.top().score) {
-        heap.pop();
-        heap.push(Neighbor{static_cast<NodeId>(v), s});
-      }
+      best[qi].Offer(static_cast<NodeId>(v),
+                     SimilarityScore(query_rows[qi], row, d, similarity));
     }
   }
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
-    results[qi] = DrainHeapDescending(&heaps[qi]);
-  }
+  std::vector<std::vector<Neighbor>> results;
+  results.reserve(queries.size());
+  for (TopKSelector& b : best) results.push_back(b.Drain());
   return results;
+}
+
+}  // namespace
+
+Result<std::vector<Neighbor>> TopKNeighbors(const Tensor& embeddings,
+                                            NodeId query, size_t k,
+                                            Similarity similarity) {
+  EHNA_RETURN_NOT_OK(CheckQueries(embeddings, {&query, 1}));
+  if (k == 0) return std::vector<Neighbor>{};
+  EHNA_TRACE_PHASE("eval.phase.knn_query");
+  return std::move(ScanExact(embeddings, {&query, 1}, k, similarity).front());
+}
+
+Result<std::vector<std::vector<Neighbor>>> TopKNeighborsBatch(
+    const Tensor& embeddings, std::span<const NodeId> queries, size_t k,
+    Similarity similarity) {
+  EHNA_RETURN_NOT_OK(CheckQueries(embeddings, queries));
+  if (k == 0 || queries.empty()) {
+    return std::vector<std::vector<Neighbor>>(queries.size());
+  }
+  EHNA_TRACE_PHASE("eval.phase.knn_query_batch");
+  return ScanExact(embeddings, queries, k, similarity);
 }
 
 QuantizedScorer::QuantizedScorer(const QuantizedMatrix* quant,
@@ -232,63 +219,37 @@ void QuantizedScorer::ScoreBlock(int64_t row0, int64_t count, double* out) {
 Result<std::vector<Neighbor>> TopKNeighborsQuantized(
     const Tensor& embeddings, const QuantizedMatrix& quant, NodeId query,
     size_t k, Similarity similarity, size_t rerank_factor) {
-  if (embeddings.rank() != 2) {
-    return Status::InvalidArgument("embeddings must be a matrix");
-  }
-  if (quant.rows() != embeddings.rows() || quant.dim() != embeddings.cols()) {
-    return Status::InvalidArgument(
-        "quantized mirror does not match the embedding matrix");
-  }
   if (quant.precision() == ServePrecision::kFp32) {
     return TopKNeighbors(embeddings, query, k, similarity);
   }
-  if (query >= embeddings.rows()) {
-    return Status::OutOfRange("query node " + std::to_string(query) +
-                              " outside embedding matrix");
+  EHNA_RETURN_NOT_OK(CheckQueries(embeddings, {&query, 1}));
+  if (quant.rows() != embeddings.rows() || quant.dim() != embeddings.cols()) {
+    return Status::InvalidArgument(
+        "quantized mirror does not match the embedding matrix");
   }
   if (k == 0) return std::vector<Neighbor>{};
   EHNA_TRACE_PHASE("eval.phase.knn_query_quantized");
 
   const int64_t n = embeddings.rows();
-  const int64_t d = embeddings.cols();
   const float* q = embeddings.Row(query);
-  const size_t survivors =
-      std::min<size_t>(std::max<size_t>(rerank_factor, 1) * k,
-                       static_cast<size_t>(n));
+  TopKSelector selected(
+      std::min(RerankSurvivors(k, rerank_factor), static_cast<size_t>(n)));
 
   // Quantized O(N·d) selection pass, blocked through the GEMV kernels.
   QuantizedScorer scorer(&quant, q, similarity);
   constexpr int64_t kBlockRows = 1024;
   std::vector<double> block(kBlockRows);
-  std::priority_queue<Neighbor, std::vector<Neighbor>, WorseNeighbor> heap;
   for (int64_t base = 0; base < n; base += kBlockRows) {
     const int64_t rows = std::min<int64_t>(kBlockRows, n - base);
     scorer.ScoreBlock(base, rows, block.data());
     for (int64_t i = 0; i < rows; ++i) {
       const NodeId v = static_cast<NodeId>(base + i);
       if (v == query) continue;
-      const double s = block[static_cast<size_t>(i)];
-      if (heap.size() < survivors) {
-        heap.push(Neighbor{v, s});
-      } else if (s > heap.top().score) {
-        heap.pop();
-        heap.push(Neighbor{v, s});
-      }
+      selected.Offer(v, block[static_cast<size_t>(i)]);
     }
   }
-
-  // fp32 re-rank: exact oracle scores for the survivors; ties break toward
-  // the lower node id so results are deterministic.
-  std::vector<Neighbor> cand = DrainHeapDescending(&heap);
-  for (Neighbor& nb : cand) {
-    nb.score = SimilarityScore(q, embeddings.Row(nb.node), d, similarity);
-  }
-  std::sort(cand.begin(), cand.end(), [](const Neighbor& a, const Neighbor& b) {
-    if (a.score != b.score) return a.score > b.score;
-    return a.node < b.node;
-  });
-  if (cand.size() > k) cand.resize(k);
-  return cand;
+  return RerankExact(selected.Drain(), q, embeddings.cols(), similarity, k,
+                     [&](NodeId v) { return embeddings.Row(v); });
 }
 
 Result<double> PairSimilarity(const Tensor& embeddings, NodeId a, NodeId b,

@@ -177,23 +177,17 @@ Result<std::vector<Neighbor>> EmbeddingServer::Query(NodeId node,
                                                      size_t k) const {
   std::shared_lock lock(mu_);
   queries_.fetch_add(1, std::memory_order_relaxed);
-  if (options_.precision != ServePrecision::kFp32) {
-    return index_->QueryNodeQuantized(quant_, node, k, /*nprobe=*/0,
-                                      options_.rerank_factor);
-  }
-  return index_->QueryNode(node, k);
+  return index_->QueryNode(node, k, /*nprobe=*/0, &quant_,
+                           options_.rerank_factor);
 }
 
 Result<std::vector<Neighbor>> EmbeddingServer::QueryExact(NodeId node,
                                                           size_t k) const {
   std::shared_lock lock(mu_);
   queries_.fetch_add(1, std::memory_order_relaxed);
-  if (options_.precision != ServePrecision::kFp32) {
-    return TopKNeighborsQuantized(serving_, quant_, node, k,
-                                  options_.ann.similarity,
-                                  options_.rerank_factor);
-  }
-  return TopKNeighbors(serving_, node, k, options_.ann.similarity);
+  return TopKNeighborsQuantized(serving_, quant_, node, k,
+                                options_.ann.similarity,
+                                options_.rerank_factor);
 }
 
 Result<std::vector<Neighbor>> EmbeddingServer::QueryExactFp32(NodeId node,

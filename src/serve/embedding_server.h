@@ -33,13 +33,15 @@ struct ServeOptions {
   /// Pending ingested edges that trigger an automatic Refresh. 0 disables
   /// auto-refresh (callers drive Refresh() themselves).
   size_t refresh_batch = 256;
-  /// Read-path precision tier (DESIGN.md §14). kFp32 serves exactly as
-  /// before; kInt8/kBf16 keep a quantized mirror of the serving matrix that
-  /// scores candidates cheaply, with the top `rerank_factor * k` survivors
-  /// re-ranked in fp32. Training, checkpoints, and the fp32 serving matrix
-  /// itself are byte-for-byte unaffected by this choice.
+  /// Read-path precision tier (DESIGN.md §14). kFp32 scores candidates in
+  /// fp32; kInt8/kBf16 keep a quantized mirror of the serving matrix that
+  /// scores candidates cheaply, with the top RerankSurvivors(k,
+  /// rerank_factor) survivors re-ranked in fp32. Training, checkpoints, and
+  /// the fp32 serving matrix itself are byte-for-byte unaffected by this
+  /// choice.
   ServePrecision precision = ServePrecision::kFp32;
-  /// Quantized-path re-rank depth multiplier (survivors = rerank_factor*k).
+  /// Quantized-path re-rank depth multiplier (survivors = rerank_factor·k,
+  /// saturating).
   size_t rerank_factor = 4;
 };
 
@@ -96,14 +98,15 @@ class EmbeddingServer {
   /// ANN index. No-op when nothing is pending.
   Status Refresh();
 
-  /// ANN top-k nearest neighbors of `node` under the serving similarity.
-  /// OutOfRange for nodes not yet servable (never refreshed into the
-  /// serving matrix).
+  /// ANN top-k nearest neighbors of `node` under the serving similarity:
+  /// IvfFlatIndex::QueryNode at the configured tier (the mirror picks
+  /// fp32 scoring or quantized selection + fp32 re-rank). OutOfRange for
+  /// nodes not yet servable (never refreshed into the serving matrix).
   Result<std::vector<Neighbor>> Query(NodeId node, size_t k) const;
 
-  /// The exact-scan counterpart of Query (same metric, full O(N·d) pass).
-  /// Under a quantized precision tier this is the quantized scan + fp32
-  /// re-rank; under kFp32 it is the plain fp32 scan.
+  /// The exact-scan counterpart of Query (same metric, full O(N·d) pass):
+  /// TopKNeighborsQuantized at the configured tier, which under kFp32 is
+  /// the plain fp32 scan.
   Result<std::vector<Neighbor>> QueryExact(NodeId node, size_t k) const;
 
   /// The full-precision exact-scan oracle, regardless of the configured

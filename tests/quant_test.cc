@@ -258,7 +258,7 @@ TEST_P(QuantScoringTest, IvfQuantizedQueryMatchesSemantics) {
   const IvfFlatIndex& index = index_or.value();
 
   const NodeId node = 11;
-  auto quant_or = index.QueryNodeQuantized(q, node, 5);
+  auto quant_or = index.QueryNode(node, 5, /*nprobe=*/0, &q);
   ASSERT_TRUE(quant_or.ok());
   auto exact_or = TopKNeighbors(m, node, 5, Similarity::kNegativeEuclidean);
   ASSERT_TRUE(exact_or.ok());
@@ -269,6 +269,68 @@ TEST_P(QuantScoringTest, IvfQuantizedQueryMatchesSemantics) {
   for (const Neighbor& nb : quant_or.value()) {
     EXPECT_EQ(nb.score, SimilarityScore(m.Row(node), m.Row(nb.node), 16,
                                         Similarity::kNegativeEuclidean));
+  }
+}
+
+// The mirror's precision is the tier: an fp32 (empty) mirror, as an fp32
+// server holds, makes both scans the plain fp32 ones, bit for bit.
+TEST(QuantScoring, EmptyFp32MirrorScansInFp32) {
+  const Tensor m = RandomMatrix(200, 16, 41);
+  const QuantizedMatrix empty;
+  ASSERT_EQ(empty.precision(), ServePrecision::kFp32);
+  auto index_or = IvfFlatIndex::Build(m, {});
+  ASSERT_TRUE(index_or.ok());
+  const IvfFlatIndex& index = index_or.value();
+  const auto same = [](const std::vector<Neighbor>& a,
+                       const std::vector<Neighbor>& b) {
+    if (a.size() != b.size()) return false;
+    for (size_t i = 0; i < a.size(); ++i) {
+      if (a[i].node != b[i].node ||
+          std::memcmp(&a[i].score, &b[i].score, sizeof(double)) != 0) {
+        return false;
+      }
+    }
+    return true;
+  };
+  for (const NodeId q : {NodeId{0}, NodeId{17}, NodeId{199}}) {
+    auto tiered = TopKNeighborsQuantized(m, empty, q, 10,
+                                         Similarity::kNegativeEuclidean);
+    auto plain = TopKNeighbors(m, q, 10, Similarity::kNegativeEuclidean);
+    ASSERT_TRUE(tiered.ok()) << tiered.status().ToString();
+    ASSERT_TRUE(plain.ok());
+    EXPECT_TRUE(same(tiered.value(), plain.value())) << "query " << q;
+    auto ivf_tiered = index.QueryNode(q, 10, /*nprobe=*/0, &empty);
+    auto ivf_plain = index.QueryNode(q, 10);
+    ASSERT_TRUE(ivf_tiered.ok());
+    ASSERT_TRUE(ivf_plain.ok());
+    EXPECT_TRUE(same(ivf_tiered.value(), ivf_plain.value())) << "query " << q;
+  }
+}
+
+// Regression: the survivor count rerank_factor · k wrapped to 0 at
+// k = 2^62, rerank_factor 4, and both quantized scans then read the top of
+// an empty heap. The count now saturates, so a k past the candidate count
+// returns every candidate, re-ranked.
+TEST_P(QuantScoringTest, HugeKDoesNotWrapTheSurvivorCount) {
+  const Tensor m = RandomMatrix(300, 16, 37);
+  const QuantizedMatrix q = QuantizedMatrix::FromTensor(m, GetParam());
+  IvfFlatOptions opt;
+  opt.num_lists = 8;
+  opt.nprobe = 8;
+  auto index_or = IvfFlatIndex::Build(m, opt);
+  ASSERT_TRUE(index_or.ok());
+  const IvfFlatIndex& index = index_or.value();
+  for (const size_t k : {size_t{1} << 62, SIZE_MAX}) {
+    auto exact = TopKNeighborsQuantized(m, q, 7, k,
+                                        Similarity::kNegativeEuclidean, 4);
+    ASSERT_TRUE(exact.ok());
+    EXPECT_EQ(exact.value().size(), 299u) << "k " << k;
+    auto ivf = index.QueryNode(7, k, /*nprobe=*/0, &q, 4);
+    ASSERT_TRUE(ivf.ok());
+    EXPECT_EQ(ivf.value().size(), 299u) << "k " << k;
+    for (size_t i = 1; i < ivf.value().size(); ++i) {
+      EXPECT_GE(ivf.value()[i - 1].score, ivf.value()[i].score);
+    }
   }
 }
 

@@ -124,9 +124,6 @@ Result<std::vector<Neighbor>> ExactQuery(const Tensor& m,
                                          NodeId query, size_t k,
                                          Similarity similarity,
                                          size_t rerank_factor) {
-  if (mirror.precision() == ServePrecision::kFp32) {
-    return TopKNeighbors(m, query, k, similarity);
-  }
   return TopKNeighborsQuantized(m, mirror, query, k, similarity,
                                 rerank_factor);
 }
@@ -135,10 +132,7 @@ Result<std::vector<Neighbor>> IvfQuery(const IvfFlatIndex& index,
                                        const QuantizedMatrix& mirror,
                                        NodeId query, size_t k, size_t nprobe,
                                        size_t rerank_factor) {
-  if (mirror.precision() == ServePrecision::kFp32) {
-    return index.QueryNode(query, k, nprobe);
-  }
-  return index.QueryNodeQuantized(mirror, query, k, nprobe, rerank_factor);
+  return index.QueryNode(query, k, nprobe, &mirror, rerank_factor);
 }
 
 struct SimilarityPins {

@@ -947,6 +947,30 @@ TEST(EmbeddingServerTest, Int8RefreshRequantizesExactlyAffectedRows) {
   EXPECT_EQ(ckpt_before, ReadBytes(fx.ckpt));
 }
 
+// Regression: an int8 server's Query and QueryExact multiplied k by
+// rerank_factor without saturation, so k = 2^62 wrapped the survivor count
+// to 0 and crashed on the top of an empty heap (reachable from serve_demo
+// as `QUERY 5 4611686018427387904`). Every k past the node count now
+// answers with all other nodes.
+TEST(EmbeddingServerTest, Int8QueriesAtHugeKDoNotWrapTheSurvivorCount) {
+  ServerFixture fx("huge_k");
+  ServeOptions opt = fx.Options();
+  opt.precision = ServePrecision::kInt8;
+  opt.ann.nprobe = 1u << 20;  // every list: the IVF answer is complete.
+  auto loaded = EmbeddingServer::Load(fx.ckpt, fx.graph, opt);
+  ASSERT_TRUE(loaded.ok());
+  const EmbeddingServer& server = *loaded.value();
+  const size_t others = server.num_nodes() - 1;
+  for (const size_t k : {size_t{1} << 62, SIZE_MAX}) {
+    auto ann = server.Query(5, k);
+    ASSERT_TRUE(ann.ok());
+    EXPECT_EQ(ann.value().size(), others) << "k " << k;
+    auto exact = server.QueryExact(5, k);
+    ASSERT_TRUE(exact.ok());
+    EXPECT_EQ(exact.value().size(), others) << "k " << k;
+  }
+}
+
 // (d) Concurrent ingest + query: exercised under TSan via the
 // `concurrency` ctest label. Writers stream edges (tripping auto-refreshes
 // that mutate the serving matrix and ANN index) while readers hammer
