@@ -118,23 +118,6 @@ IvfFlatIndex GoldenIndex(const Tensor& m, Similarity similarity) {
   return index;
 }
 
-// The query paths under test, one call per (path, tier).
-Result<std::vector<Neighbor>> ExactQuery(const Tensor& m,
-                                         const QuantizedMatrix& mirror,
-                                         NodeId query, size_t k,
-                                         Similarity similarity,
-                                         size_t rerank_factor) {
-  return TopKNeighborsQuantized(m, mirror, query, k, similarity,
-                                rerank_factor);
-}
-
-Result<std::vector<Neighbor>> IvfQuery(const IvfFlatIndex& index,
-                                       const QuantizedMatrix& mirror,
-                                       NodeId query, size_t k, size_t nprobe,
-                                       size_t rerank_factor) {
-  return index.QueryNode(query, k, nprobe, &mirror, rerank_factor);
-}
-
 struct SimilarityPins {
   Similarity similarity;
   uint64_t exact[3];  // per tier: fp32, int8, bf16.
@@ -205,7 +188,8 @@ TEST(QueryGoldenTest, ExactScanAtEveryTier) {
       for (const size_t rerank_factor : kRerankFactors) {
         for (const size_t k : kKs) {
           for (const NodeId q : kExactQueries) {
-            auto res = ExactQuery(m, mirror, q, k, p.similarity, rerank_factor);
+            auto res = TopKNeighborsQuantized(m, mirror, q, k, p.similarity,
+                                              rerank_factor);
             ASSERT_TRUE(res.ok()) << res.status().ToString();
             h.Add(res.value());
           }
@@ -246,7 +230,7 @@ TEST(QueryGoldenTest, IvfAtEveryTierAndProbeDepth) {
         for (const size_t nprobe : {size_t{0}, index.num_lists()}) {
           for (const size_t k : kKs) {
             for (const NodeId q : kIvfQueries) {
-              auto res = IvfQuery(index, mirror, q, k, nprobe, rerank_factor);
+              auto res = index.QueryNode(q, k, nprobe, &mirror, rerank_factor);
               ASSERT_TRUE(res.ok()) << res.status().ToString();
               h.Add(res.value());
             }
